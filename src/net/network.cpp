@@ -21,7 +21,8 @@ std::string to_string(DropReason r) {
 
 Network::Network(sim::Simulator& simulator, ChannelModel channel, sim::Rng rng)
     : sim_(simulator), channel_(std::move(channel)), rng_(rng),
-      deliver_tag_(simulator.intern("net.deliver")) {
+      deliver_tag_(simulator.intern("net.deliver")),
+      layer_grids_(kLayerCount) {
   resolve_metric_handles();
   sim_.checkpoint().register_participant(this);
 }
@@ -61,18 +62,21 @@ NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer
   bytes_sent_.push_back(0);
   tx_free_at_.push_back(sim::SimTime::zero());
   route_cache_.emplace_back();
-  if (profile.range_m > max_range_m_) {
-    // A longer radio breaks the cells-cover-range invariant: rebuild the
-    // grid around the new maximum before indexing the newcomer. The edge
-    // store is untouched: every existing link depends on the min of two
-    // unchanged ranges.
-    max_range_m_ = profile.range_m;
-    grid_.reset(max_range_m_);
+  max_range_m_ = std::max(max_range_m_, profile.range_m);
+  if (layer >= layer_grids_.size()) layer_grids_.resize(layer + 1u);
+  LayerGrid& lg = layer_grids_[layer];
+  if (profile.range_m > lg.max_range_m) {
+    // A longer radio breaks the cells-cover-range invariant of its layer:
+    // rebuild that layer's grid around the new maximum before indexing the
+    // newcomer. Other layers' grids and the edge store are untouched:
+    // every existing link depends on the min of two unchanged ranges.
+    lg.max_range_m = profile.range_m;
+    lg.grid.reset(lg.max_range_m);
     for (NodeId n = 0; n < id; ++n) {
-      if (up_[n]) grid_.insert(n, positions_[n]);
+      if (up_[n] && layers_[n] == layer) lg.grid.insert(n, positions_[n]);
     }
   }
-  grid_.insert(id, position);
+  lg.grid.insert(id, position);
   if (use_incremental_) {
     links_.add_node();
     attach_links(id);
@@ -99,7 +103,7 @@ void Network::set_position(NodeId id, sim::Vec2 p) {
   const bool changed = use_incremental_ ? patch_links_for_move(id, from, p)
                                         : neighbor_set_changed(id, from, p);
   positions_[id] = p;
-  grid_.move(id, from, p);
+  grid_of(id).move(id, from, p);
   // Region-scoped invalidation: a move that gains or loses no link leaves
   // every cached route structurally intact, so the epoch — and with it
   // every Dijkstra rebuild downstream — is only paid when an in-range
@@ -111,10 +115,10 @@ void Network::set_node_up(NodeId id, bool up) {
   if ((up_.at(id) != 0) == up) return;
   up_[id] = up ? 1 : 0;
   if (up) {
-    grid_.insert(id, positions_[id]);
+    grid_of(id).insert(id, positions_[id]);
     if (use_incremental_) attach_links(id);
   } else {
-    grid_.remove(id, positions_[id]);
+    grid_of(id).remove(id, positions_[id]);
     if (use_incremental_) detach_links(id);
   }
   invalidate_routes();
@@ -127,15 +131,12 @@ void Network::set_gateway(NodeId id, bool on) {
     // Affected links are exactly the cross-layer links to other live
     // in-range gateways: same-layer links ignore the flag, and a non-
     // gateway peer blocks the bridge regardless. Candidates come from the
-    // grid unconditionally (it indexes every live node whatever use_grid_
-    // says), exactly like patch_links_for_move, so the changed/unchanged
-    // answer — and with it the epoch — is identical in every mode.
+    // gateway list in every mode, so the changed/unchanged answer — and
+    // with it the epoch — is identical in every mode.
     const sim::Vec2 p = positions_[id];
     const RadioProfile& pr = profiles_[id];
-    scratch_.clear();
-    grid_.neighborhood(p, scratch_);
-    for (const NodeId other : scratch_) {
-      if (other == id || layers_[other] == layers_[id] || !gateway_[other]) continue;
+    for (const NodeId other : gateways_) {
+      if (!up_[other] || layers_[other] == layers_[id]) continue;
       if (!channel_.in_range(p, pr, positions_[other], profiles_[other])) continue;
       changed = true;
       if (use_incremental_) {
@@ -148,7 +149,36 @@ void Network::set_gateway(NodeId id, bool on) {
     }
   }
   gateway_[id] = on ? 1 : 0;
+  const auto pos = std::lower_bound(gateways_.begin(), gateways_.end(), id);
+  if (on) {
+    gateways_.insert(pos, id);
+  } else {
+    gateways_.erase(pos);
+  }
   if (changed) invalidate_routes();
+}
+
+void Network::add_building(sim::Rect footprint) {
+  channel_.add_building(footprint);
+  if (use_incremental_) links_ = full_connectivity();
+  invalidate_routes();
+}
+
+void Network::append_gateway_peers(NodeId id, std::vector<NodeId>& out) const {
+  if (!gateway_[id]) return;
+  for (const NodeId g : gateways_) {
+    if (up_[g] && layers_[g] != layers_[id]) out.push_back(g);
+  }
+}
+
+void Network::sorted_candidates(NodeId id, sim::Vec2 p,
+                                std::vector<NodeId>& out) const {
+  const std::vector<NodeId>& hood = grid_of(id).neighborhood_sorted(p);
+  out.assign(hood.begin(), hood.end());
+  const auto same_layer = static_cast<std::ptrdiff_t>(out.size());
+  append_gateway_peers(id, out);
+  // Disjoint ascending runs (own layer vs other layers): one merge.
+  std::inplace_merge(out.begin(), out.begin() + same_layer, out.end());
 }
 
 bool Network::neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) const {
@@ -165,33 +195,34 @@ bool Network::neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) cons
     return false;
   }
   // Any node whose membership differs is in range of `from` or of `to`, so
-  // the union of the two 3x3 neighborhoods covers all candidates.
+  // the union of the two 3x3 neighborhoods of the layer grid, plus the
+  // gateway peers, covers all candidates. Every candidate passes
+  // link_allowed by construction.
   scratch_.clear();
-  grid_.neighborhood(from, scratch_);
-  grid_.neighborhood(to, scratch_);
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()), scratch_.end());
+  grid_of(id).neighborhood_union(from, to, scratch_);
+  append_gateway_peers(id, scratch_);
   for (const NodeId other : scratch_) {
-    if (other == id || !link_allowed(id, other)) continue;
-    if (differs(other)) return true;
+    if (other != id && differs(other)) return true;
   }
   return false;
 }
 
 bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
-  // Candidates come from the grid unconditionally: the grid indexes every
-  // live node regardless of use_grid_, and any node whose in-range
+  // Candidates come from the grids unconditionally: they index every live
+  // node regardless of use_grid_, and any same-layer node whose in-range
   // relationship with `id` can flip lies in the 3x3 neighborhood of `from`
-  // or of `to` (covering invariant).
+  // or of `to` (covering invariant); cross-layer peers are the gateway
+  // list. Visit order is irrelevant here — add_edge_sorted, weight
+  // refreshes, removals and the changed flag are all order-independent —
+  // so the candidates are neither sorted nor deduplicated (each id lives
+  // in exactly one cell of one grid).
   scratch_.clear();
-  grid_.neighborhood(from, scratch_);
-  grid_.neighborhood(to, scratch_);
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()), scratch_.end());
+  grid_of(id).neighborhood_union(from, to, scratch_);
+  append_gateway_peers(id, scratch_);
   const RadioProfile& pr = profiles_[id];
   bool changed = false;
   for (const NodeId other : scratch_) {
-    if (other == id || !link_allowed(id, other)) continue;
+    if (other == id) continue;
     const bool was = channel_.in_range(from, pr, positions_[other], profiles_[other]);
     const bool now = channel_.in_range(to, pr, positions_[other], profiles_[other]);
     if (was == now) {
@@ -214,9 +245,10 @@ void Network::attach_links(NodeId id) {
   const sim::Vec2 p = positions_[id];
   const RadioProfile& pr = profiles_[id];
   scratch_.clear();
-  grid_.neighborhood(p, scratch_);
+  grid_of(id).neighborhood(p, scratch_);
+  append_gateway_peers(id, scratch_);
   for (const NodeId other : scratch_) {
-    if (other == id || !link_allowed(id, other)) continue;
+    if (other == id) continue;
     if (channel_.in_range(p, pr, positions_[other], profiles_[other])) {
       links_.add_edge_sorted(id, other, sim::distance(p, positions_[other]));
     }
@@ -233,7 +265,9 @@ void Network::detach_links(NodeId id) {
 std::vector<NodeId> Network::nodes_near(sim::Vec2 p, double radius) const {
   std::vector<NodeId> out;
   if (use_grid_) {
-    grid_.near(p, radius, out);
+    // Each live id sits in exactly one layer grid: the union is
+    // duplicate-free.
+    for (const LayerGrid& lg : layer_grids_) lg.grid.near(p, radius, out);
     std::sort(out.begin(), out.end());
   } else {
     for (NodeId id = 0; id < node_count(); ++id) {
@@ -389,14 +423,13 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
     if (transmit(src, other, std::move(copy), nullptr)) ++put_on_air;
   };
   if (use_grid_) {
-    // Cell size >= max range, so the 3x3 neighborhood covers every
-    // receiver. Candidates are offered in ascending NodeId order — the
-    // brute-force scan order — so the per-receiver loss draws consume the
-    // RNG stream identically and delivery traces stay bit-identical.
+    // The layer grid's 3x3 neighborhood plus the gateway peers covers
+    // every receiver. Candidates are offered in ascending NodeId order —
+    // the brute-force scan order — so the per-receiver loss draws consume
+    // the RNG stream identically and delivery traces stay bit-identical.
     // Copied into scratch_ because drop/transmit hooks run synchronously
     // inside offer() and must not be able to invalidate the memo mid-walk.
-    const std::vector<NodeId>& hood = grid_.neighborhood_sorted(sp);
-    scratch_.assign(hood.begin(), hood.end());
+    sorted_candidates(src, sp, scratch_);
     for (const NodeId other : scratch_) offer(other);
   } else {
     for (NodeId other = 0; other < node_count(); ++other) offer(other);
@@ -484,12 +517,19 @@ Topology Network::full_connectivity() const {
   if (use_grid_) {
     // Grid neighborhoods via the per-cell sorted memo: all nodes sharing a
     // cell share one gathered + sorted candidate list, and the memo
-    // carries over to later snapshots while membership is unchanged.
+    // carries over to later snapshots while membership is unchanged. A
+    // gateway's list is merged with its cross-layer peers.
+    std::vector<NodeId> merged;
     for (NodeId a = 0; a < node_count(); ++a) {
       if (!up_[a]) continue;
-      for (const NodeId b : grid_.neighborhood_sorted(positions_[a])) {
+      const std::vector<NodeId>* candidates = &merged;
+      if (gateway_[a]) {
+        sorted_candidates(a, positions_[a], merged);
+      } else {
+        candidates = &grid_of(a).neighborhood_sorted(positions_[a]);
+      }
+      for (const NodeId b : *candidates) {
         if (b <= a) continue;
-        if (!link_allowed(a, b)) continue;
         if (channel_.in_range(positions_[a], profiles_[a], positions_[b],
                               profiles_[b])) {
           edge_scratch_.push_back(
@@ -513,6 +553,27 @@ Topology Network::full_connectivity() const {
   return Topology(node_count(), edge_scratch_);
 }
 
+void Network::rebuild_spatial_index() {
+  // Per-layer maxima are recomputed from the profile slab (the snapshot
+  // carries only the global max_range_m). A layer without a positive range
+  // keeps the 250 m cell of a default-constructed grid.
+  std::size_t layer_count = kLayerCount;
+  for (const LayerId l : layers_) layer_count = std::max<std::size_t>(layer_count, l + 1u);
+  layer_grids_.assign(layer_count, LayerGrid());
+  for (NodeId n = 0; n < node_count(); ++n) {
+    double& m = layer_grids_[layers_[n]].max_range_m;
+    m = std::max(m, profiles_[n].range_m);
+  }
+  for (LayerGrid& lg : layer_grids_) {
+    lg.grid.reset(lg.max_range_m > 0.0 ? lg.max_range_m : 250.0);
+  }
+  gateways_.clear();
+  for (NodeId n = 0; n < node_count(); ++n) {
+    if (up_[n]) grid_of(n).insert(n, positions_[n]);
+    if (gateway_[n]) gateways_.push_back(n);
+  }
+}
+
 std::vector<bool> Network::free_slots() const {
   std::vector<bool> free_slot(pending_.size(), false);
   for (std::uint32_t s = free_pending_; s != kNoPending; s = pending_[s].next_free) {
@@ -531,7 +592,8 @@ Network::MemoryFootprint Network::memory_footprint() const {
                  gateway_.capacity() * sizeof(std::uint8_t) +
                  bytes_sent_.capacity() * sizeof(std::uint64_t) +
                  tx_free_at_.capacity() * sizeof(sim::SimTime);
-  m.grid = grid_.memory_bytes();
+  m.grid = gateways_.capacity() * sizeof(NodeId);
+  for (const LayerGrid& lg : layer_grids_) m.grid += lg.grid.memory_bytes();
   m.links = links_.memory_bytes();
   m.route_cache = route_cache_.capacity() * sizeof(RouteCacheEntry);
   for (const RouteCacheEntry& e : route_cache_) {
@@ -617,13 +679,7 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
   topology_epoch_ = st.topology_epoch;
   route_cache_.assign(node_count(), RouteCacheEntry{});
 
-  // Rebuild the spatial index from scratch over the restored live nodes
-  // (cell size invariant: >= max radio range; 250 m matches the default-
-  // constructed grid before any radio registers).
-  grid_.reset(max_range_m_ > 0.0 ? max_range_m_ : 250.0);
-  for (NodeId n = 0; n < node_count(); ++n) {
-    if (up_[n]) grid_.insert(n, positions_[n]);
-  }
+  rebuild_spatial_index();
   // The edge store is derived state: reseed it from the restored slabs.
   links_ = use_incremental_ ? full_connectivity() : Topology();
 

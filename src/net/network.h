@@ -137,7 +137,11 @@ class Network : public sim::SerializableCheckpointable {
   /// mode exists as the equivalence/bench baseline.
   void set_spatial_index_enabled(bool on) { use_grid_ = on; }
   bool spatial_index_enabled() const { return use_grid_; }
-  const SpatialGrid& spatial_grid() const { return grid_; }
+  /// The spatial index of one layer: its live nodes, bucketed at a cell
+  /// size >= the longest radio range ever registered in that layer.
+  const SpatialGrid& spatial_grid(LayerId layer) const {
+    return layer_grids_.at(layer).grid;
+  }
 
   /// Enables/disables incremental connectivity maintenance (default:
   /// enabled). When on, add_node / set_position / set_node_up compute the
@@ -167,8 +171,14 @@ class Network : public sim::SerializableCheckpointable {
   /// order downstream of it — identical in both modes.
   std::vector<NodeId> nodes_near(sim::Vec2 p, double radius) const;
 
-  ChannelModel& channel() { return channel_; }
   const ChannelModel& channel() const { return channel_; }
+  /// Registers a jamming field. Jammers shape loss only, never in_range,
+  /// so the connectivity graph is untouched.
+  void add_jammer(Jammer j) { channel_.add_jammer(j); }
+  /// Raises an RF-opaque building. It can cut any existing link, so the
+  /// edge store is reseeded from a full rebuild and the topology epoch is
+  /// bumped (in every maintenance mode, keeping epochs mode-identical).
+  void add_building(sim::Rect footprint);
   sim::Simulator& simulator() { return sim_; }
 
   /// Fixed per-hop propagation + processing latency.
@@ -196,7 +206,7 @@ class Network : public sim::SerializableCheckpointable {
   /// that decides whether one world fits 100k+ nodes.
   struct MemoryFootprint {
     std::size_t node_slabs = 0;   ///< SoA per-node field vectors
-    std::size_t grid = 0;         ///< spatial index cells + memo
+    std::size_t grid = 0;         ///< per-layer grid cells + memos, gateway list
     std::size_t links = 0;        ///< incremental connectivity edge store
     std::size_t route_cache = 0;  ///< per-source shortest-path cache
     std::size_t pending = 0;      ///< in-flight frame slab
@@ -311,13 +321,28 @@ class Network : public sim::SerializableCheckpointable {
   /// patching the edge store.
   bool neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) const;
 
+  /// The grid indexing `id`'s layer.
+  const SpatialGrid& grid_of(NodeId id) const { return layer_grids_[layers_[id]].grid; }
+  SpatialGrid& grid_of(NodeId id) { return layer_grids_[layers_[id]].grid; }
+  /// Appends, ascending, the live gateways of other layers when `id` is
+  /// itself a gateway — its only possible cross-layer peers, which its own
+  /// layer's grid does not index. Appends nothing for a non-gateway.
+  void append_gateway_peers(NodeId id, std::vector<NodeId>& out) const;
+  /// Every possible link peer of `id` at `p`, ascending NodeId order (the
+  /// brute-force scan order): its layer grid's sorted 3x3 memo, merged
+  /// with append_gateway_peers. Assigned into `out`.
+  void sorted_candidates(NodeId id, sim::Vec2 p, std::vector<NodeId>& out) const;
+  /// Rebuilds every layer grid and the gateway list from the node slabs.
+  void rebuild_spatial_index();
+
   /// Full-scan connectivity rebuild (grid neighborhoods or brute force per
   /// use_grid_) — the baseline the incremental store must stay
   /// bit-identical to, and the seed for the store on enable/restore.
   Topology full_connectivity() const;
   /// Patches links_ for a move of live node `id` (must run BEFORE the slab
   /// position and grid are updated): the union of the two 3x3
-  /// neighborhoods covers every node whose in-range relationship can flip.
+  /// neighborhoods in its layer grid, plus its gateway peers, covers every
+  /// node whose in-range relationship can flip.
   /// Weights of retained edges are refreshed to the new distance, so the
   /// store tracks link-metric drift exactly like a from-scratch rebuild.
   /// Returns whether any edge appeared or vanished — the same answer
@@ -373,9 +398,19 @@ class Network : public sim::SerializableCheckpointable {
   double* drop_counters_[kDropReasonCount] = {};
 
   // Spatial index over LIVE nodes (down nodes are removed and re-inserted
-  // on recovery). Cell size tracks the largest radio range seen so the 3x3
-  // neighborhood covers every possible link.
-  SpatialGrid grid_;
+  // on recovery), one grid per layer indexed by LayerId. Each grid's cell
+  // size tracks the largest radio range seen in its layer: a same-layer
+  // link reaches at most min(ra, rb) <= that maximum, so the 3x3
+  // neighborhood covers every same-layer link. Cross-layer links exist
+  // only between two gateways and are found from gateways_ instead.
+  struct LayerGrid {
+    SpatialGrid grid;
+    double max_range_m = 0.0;
+  };
+  std::vector<LayerGrid> layer_grids_;
+  /// Every node flagged as a gateway (live or not), ascending.
+  std::vector<NodeId> gateways_;
+  /// Largest radio range over all layers; kept for the snapshot format.
   double max_range_m_ = 0.0;
   bool use_grid_ = true;
   /// Candidate scratch buffer for grid queries (avoids an allocation per

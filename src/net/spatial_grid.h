@@ -5,12 +5,17 @@
 // connectivity rebuilds, disc scans) were all O(N) or O(N^2) scans over the
 // node table, which is the quadratic wall the paper's "1,000s to 10,000s of
 // nodes" claim runs into. The grid buckets nodes by cell, with the cell
-// size chosen >= the maximum radio range, so any two nodes that can be in
-// radio range of each other lie within one Chebyshev cell of each other:
-// the 3x3 cell neighborhood of a position is a SUPERSET of its radio
-// neighborhood. Queries therefore return raw candidates; callers apply the
-// exact in_range/distance filter — and any ordering they need for RNG-draw
-// determinism — themselves.
+// size chosen >= the maximum radio range of the nodes it indexes, so any
+// two of them that can be in radio range of each other lie within one
+// Chebyshev cell of each other: the 3x3 cell neighborhood of a position is
+// a SUPERSET of its radio neighborhood. Queries therefore return raw
+// candidates; callers apply the exact in_range/distance filter — and any
+// ordering they need for RNG-draw determinism — themselves.
+//
+// Network keeps one grid per layer, each sized to the longest radio in
+// that layer (links form within a layer; cross-layer gateway links are
+// found from a separate gateway list), so a short-range stratum is not
+// bucketed at the cell size of the longest radio in the whole network.
 
 #include <cstdint>
 #include <unordered_map>
@@ -43,6 +48,11 @@ class SpatialGrid {
   /// Appends every id in the 3x3 cell neighborhood of `p`. Output is
   /// unsorted but duplicate-free (each id lives in exactly one cell).
   void neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const;
+
+  /// Appends every id in the union of the 3x3 neighborhoods of `a` and
+  /// `b`, visiting each cell once. Unsorted and duplicate-free, so a move
+  /// from `a` to `b` gathers its candidates without a sort + unique pass.
+  void neighborhood_union(sim::Vec2 a, sim::Vec2 b, std::vector<NodeId>& out) const;
 
   /// The 3x3 neighborhood of `p`, sorted ascending, served from a per-cell
   /// memo. Any mutation that changes cell membership (insert, remove, a

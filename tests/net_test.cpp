@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -598,6 +599,27 @@ TEST(NetworkUrban, RoutingBendsAroundBuilding) {
   (void)relay;
 }
 
+TEST(NetworkUrban, LateBuildingCutsLinksInEveryMaintenanceMode) {
+  // A building raised after the nodes exist must cut the link it occludes
+  // in the incremental edge store exactly as a full rebuild does, and
+  // invalidate cached routes.
+  const auto edges_after_wall = [](bool use_incremental) {
+    Simulator sim;
+    Network net(sim, ChannelModel(2.0, 0.0), Rng(5));
+    net.set_incremental_connectivity_enabled(use_incremental);
+    const NodeId a = net.add_node({0, 0}, {.range_m = 160, .base_loss = 0.0});
+    const NodeId b = net.add_node({100, 0}, {.range_m = 160, .base_loss = 0.0});
+    EXPECT_TRUE(net.route_exists(a, b));
+    const std::uint64_t e0 = net.topology_epoch();
+    net.add_building({{40, -10}, {60, 10}});
+    EXPECT_GT(net.topology_epoch(), e0);
+    EXPECT_FALSE(net.route_exists(a, b));
+    return net.connectivity().edge_count();
+  };
+  EXPECT_EQ(edges_after_wall(false), 0u);
+  EXPECT_EQ(edges_after_wall(true), 0u);
+}
+
 TEST(Geometry, SegmentRectIntersection) {
   const sim::Rect r{{0, 0}, {10, 10}};
   EXPECT_TRUE(sim::segment_intersects_rect({-5, 5}, {15, 5}, r));   // through
@@ -1180,14 +1202,15 @@ TEST_F(NetFixture, EpochOnlyBumpsWhenAnInRangeRelationshipChanges) {
 
 TEST_F(NetFixture, LongRangeJoinRebuildsGridAndKeepsCoverage) {
   const NodeId a = add({0, 0});  // range 300 sets the initial cell size
-  EXPECT_GE(net.spatial_grid().cell_size(), 300.0);
+  EXPECT_GE(net.spatial_grid(kLayerGround).cell_size(), 300.0);
   const NodeId b = add({900, 0});  // 300 m radio, isolated for now
   EXPECT_EQ(net.broadcast(a, Message{.kind = "hello", .size_bytes = 8}), 0u);
-  // A 1200 m radio joining must rebuild the grid (cells must cover the new
-  // maximum range) and re-index the existing nodes. Links stay bounded by
-  // the *smaller* radio on each pair, so big reaches only a for now.
+  // A 1200 m radio joining the same layer must rebuild that layer's grid
+  // (cells must cover the layer's new maximum range) and re-index its
+  // nodes. Links stay bounded by the *smaller* radio on each pair, so big
+  // reaches only a for now.
   const NodeId big = add({100, 0}, 1200.0);
-  EXPECT_GE(net.spatial_grid().cell_size(), 1200.0);
+  EXPECT_GE(net.spatial_grid(kLayerGround).cell_size(), 1200.0);
   int got = 0;
   for (const NodeId id : {a, b, big}) {
     net.set_handler(id, [&](const Message&) { ++got; });
@@ -1208,6 +1231,56 @@ TEST_F(NetFixture, LongRangeJoinRebuildsGridAndKeepsCoverage) {
   for (std::size_t i = 0; i < grid_edges.size(); ++i) {
     EXPECT_EQ(grid_edges[i].a, brute_edges[i].a);
     EXPECT_EQ(grid_edges[i].b, brute_edges[i].b);
+  }
+}
+
+TEST(NetworkLayers, EachLayerGridCoversOnlyItsOwnRanges) {
+  // The dissem tables' radios: ground 190 m, aerial 420 m, command 520 m.
+  // Each layer's cells must cover that layer's longest radio, and a longer
+  // radio joining one layer must leave the other layers' cells alone —
+  // the short-range ground stratum keeps its fine grid.
+  Simulator sim;
+  Network net(sim, ChannelModel(2.0, 0.0), Rng(8));
+  const auto add = [&](Vec2 p, double range, LayerId layer) {
+    return net.add_node(p, {.range_m = range, .base_loss = 0.0}, layer);
+  };
+  const NodeId g0 = add({0, 0}, 190.0, kLayerGround);
+  const NodeId g1 = add({150, 0}, 190.0, kLayerGround);
+  EXPECT_GE(net.spatial_grid(kLayerGround).cell_size(), 190.0);
+  const double ground_cell = net.spatial_grid(kLayerGround).cell_size();
+
+  const NodeId a0 = add({100, 100}, 420.0, kLayerAerial);
+  EXPECT_GE(net.spatial_grid(kLayerAerial).cell_size(), 420.0);
+  EXPECT_EQ(net.spatial_grid(kLayerGround).cell_size(), ground_cell);
+  const NodeId c0 = add({500, 0}, 520.0, kLayerCommand);
+  const NodeId c1 = add({900, 0}, 520.0, kLayerCommand);
+  EXPECT_GE(net.spatial_grid(kLayerCommand).cell_size(), 520.0);
+  EXPECT_EQ(net.spatial_grid(kLayerGround).cell_size(), ground_cell);
+  EXPECT_GE(net.spatial_grid(kLayerAerial).cell_size(), 420.0);
+
+  // Each grid indexes only its own layer's live nodes.
+  EXPECT_EQ(net.spatial_grid(kLayerGround).size(), 2u);
+  EXPECT_EQ(net.spatial_grid(kLayerAerial).size(), 1u);
+  EXPECT_EQ(net.spatial_grid(kLayerCommand).size(), 2u);
+
+  // Cross-layer links come from the gateway list, not the grids: the
+  // aerial-command gateway pair is 412 m apart, beyond every ground cell.
+  net.set_gateway(a0, true);
+  net.set_gateway(c0, true);
+  net.set_gateway(g1, true);
+  const Topology t = net.connectivity();
+  EXPECT_TRUE(t.has_edge(g0, g1));
+  EXPECT_TRUE(t.has_edge(c0, c1));
+  EXPECT_TRUE(t.has_edge(a0, c0));
+  EXPECT_TRUE(t.has_edge(g1, a0));   // 112 m, within the ground radio
+  EXPECT_FALSE(t.has_edge(g0, a0));  // g0 is not a gateway
+  EXPECT_EQ(net.broadcast(a0, Message{.kind = "hello", .size_bytes = 8}), 2u);
+  net.set_spatial_index_enabled(false);
+  const auto brute_edges = net.connectivity().edges();
+  ASSERT_EQ(t.edges().size(), brute_edges.size());
+  for (std::size_t i = 0; i < brute_edges.size(); ++i) {
+    EXPECT_EQ(t.edges()[i].a, brute_edges[i].a);
+    EXPECT_EQ(t.edges()[i].b, brute_edges[i].b);
   }
 }
 
@@ -1337,51 +1410,114 @@ TEST(NetworkLayers, DownGatewayRevivalReformsInterLayerLinks) {
   EXPECT_TRUE(net.connectivity().has_edge(g, a));
 }
 
+/// Seeded multi-layer churn for the all-modes equivalence tests below.
+struct LayeredChurn {
+  double range_m[kLayerCount];  ///< radio range per layer
+  double extent_m;              ///< nodes live in [0, extent_m]^2
+  int rounds;
+  /// Off: every move is a teleport. On: moves mix within-cell nudges,
+  /// cell-crossing steps and teleports, and each round ends with lossy
+  /// broadcasts whose receiver order is folded into the trail.
+  bool small_steps_and_broadcasts;
+};
+
+/// Replays `cfg` in one {grid,brute} x {incremental,rebuild} mode and
+/// returns, per round, a hash of the connectivity snapshot (endpoints AND
+/// weight bits, so a missed weight refresh diverges), its edge count and
+/// the topology epoch — plus, with broadcasts on, a hash of who received
+/// which frame in delivery order.
+std::vector<std::uint64_t> layered_churn_trail(const LayeredChurn& cfg, bool use_grid,
+                                               bool use_incremental) {
+  Simulator sim;
+  Network net(sim, ChannelModel(), Rng(6));
+  net.set_spatial_index_enabled(use_grid);
+  net.set_incremental_connectivity_enabled(use_incremental);
+  Rng drive(0xC0FFEE);
+  const auto fold = [](std::uint64_t& h, std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  std::uint64_t received = 0xcbf29ce484222325ULL;
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 60; ++i) {
+    const auto layer = static_cast<LayerId>(i % 3);
+    ids.push_back(net.add_node({drive.uniform(0, cfg.extent_m), drive.uniform(0, cfg.extent_m)},
+                               {.range_m = cfg.range_m[layer]}, layer));
+    if (i % 4 == 0) net.set_gateway(ids.back(), true);
+    const NodeId id = ids.back();
+    net.set_handler(id, [&received, &fold, id](const Message& m) {
+      fold(received, (static_cast<std::uint64_t>(m.src) << 32) | id);
+    });
+  }
+  const auto clamp = [&](double v) { return std::clamp(v, 0.0, cfg.extent_m); };
+  std::vector<std::uint64_t> trail;
+  for (int round = 0; round < cfg.rounds; ++round) {
+    for (const NodeId id : ids) {
+      const double action = drive.uniform();
+      if (action < 0.25) {
+        net.set_gateway(id, !net.is_gateway(id));
+      } else if (action < 0.4) {
+        net.set_node_up(id, !net.node_up(id));
+      } else if (cfg.small_steps_and_broadcasts && action < 0.85) {
+        // Within-cell nudges (a few meters) and cell-crossing strides (up
+        // to the ground radio) — the mobility tick's moves.
+        const double reach = action < 0.6 ? 5.0 : 200.0;
+        const Vec2 p = net.position(id);
+        net.set_position(id, {clamp(p.x + drive.uniform(-reach, reach)),
+                              clamp(p.y + drive.uniform(-reach, reach))});
+      } else {
+        net.set_position(id, {drive.uniform(0, cfg.extent_m), drive.uniform(0, cfg.extent_m)});
+      }
+    }
+    const Topology t = net.connectivity();
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Edge& e : t.edges()) {
+      fold(h, (static_cast<std::uint64_t>(e.a) << 32) | e.b);
+      fold(h, std::bit_cast<std::uint64_t>(e.weight));
+    }
+    trail.push_back(h);
+    trail.push_back(t.edge_count());
+    trail.push_back(net.topology_epoch());
+    if (cfg.small_steps_and_broadcasts) {
+      // Gateways and plain nodes alike: a gateway's fan-out merges its
+      // layer grid with cross-layer peers and must keep ascending order,
+      // or the per-receiver loss draws shift.
+      for (std::size_t i = static_cast<std::size_t>(round) % 5; i < ids.size(); i += 5) {
+        trail.push_back(net.broadcast(ids[i], Message{.kind = "hello", .size_bytes = 32}));
+      }
+      sim.run();
+      trail.push_back(received);
+    }
+  }
+  return trail;
+}
+
+void expect_layered_churn_identical(const LayeredChurn& cfg) {
+  const auto reference = layered_churn_trail(cfg, false, false);
+  EXPECT_EQ(layered_churn_trail(cfg, false, true), reference);
+  EXPECT_EQ(layered_churn_trail(cfg, true, false), reference);
+  EXPECT_EQ(layered_churn_trail(cfg, true, true), reference);
+}
+
 TEST(NetworkLayers, GatewayChurnIsIdenticalAcrossAllMaintenanceModes) {
-  // Random multi-layer churn (moves, liveness flips, gateway flips)
+  // Random multi-layer churn (teleports, liveness flips, gateway flips)
   // replayed in all four {grid,brute} x {incremental,rebuild} modes: the
   // connectivity snapshots and epoch trajectories must be bit-identical.
-  const auto run_mode = [](bool use_grid, bool use_incremental) {
-    Simulator sim;
-    Network net(sim, ChannelModel(), Rng(6));
-    net.set_spatial_index_enabled(use_grid);
-    net.set_incremental_connectivity_enabled(use_incremental);
-    Rng drive(0xC0FFEE);
-    std::vector<NodeId> ids;
-    for (int i = 0; i < 60; ++i) {
-      const auto layer = static_cast<LayerId>(i % 3);
-      ids.push_back(net.add_node({drive.uniform(0, 700), drive.uniform(0, 700)},
-                                 {.range_m = 220}, layer));
-      if (i % 4 == 0) net.set_gateway(ids.back(), true);
-    }
-    std::vector<std::uint64_t> trail;
-    for (int round = 0; round < 6; ++round) {
-      for (const NodeId id : ids) {
-        const double action = drive.uniform();
-        if (action < 0.25) {
-          net.set_gateway(id, !net.is_gateway(id));
-        } else if (action < 0.4) {
-          net.set_node_up(id, !net.node_up(id));
-        } else {
-          net.set_position(id, {drive.uniform(0, 700), drive.uniform(0, 700)});
-        }
-      }
-      const Topology t = net.connectivity();
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const Edge& e : t.edges()) {
-        h ^= (static_cast<std::uint64_t>(e.a) << 32) | e.b;
-        h *= 0x100000001b3ULL;
-      }
-      trail.push_back(h);
-      trail.push_back(t.edge_count());
-      trail.push_back(net.topology_epoch());
-    }
-    return trail;
-  };
-  const auto reference = run_mode(false, false);
-  EXPECT_EQ(run_mode(false, true), reference);
-  EXPECT_EQ(run_mode(true, false), reference);
-  EXPECT_EQ(run_mode(true, true), reference);
+  expect_layered_churn_identical({.range_m = {220, 220, 220},
+                                  .extent_m = 700,
+                                  .rounds = 6,
+                                  .small_steps_and_broadcasts = false});
+}
+
+TEST(NetworkLayers, HeterogeneousLayerChurnIsIdenticalAcrossAllMaintenanceModes) {
+  // The dissem tables' per-layer radios (ground 190 m, aerial 420 m,
+  // command 520 m) over their 800 m area, so every layer grid has its own
+  // cell size, driven by small steps as well as teleports, with lossy
+  // broadcasts each round.
+  expect_layered_churn_identical({.range_m = {190, 420, 520},
+                                  .extent_m = 800,
+                                  .rounds = 12,
+                                  .small_steps_and_broadcasts = true});
 }
 
 }  // namespace
