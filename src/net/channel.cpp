@@ -5,6 +5,13 @@
 
 namespace iobt::net {
 
+bool ChannelModel::line_of_sight_blocked(sim::Vec2 a, sim::Vec2 b) const {
+  for (const Building& bl : buildings_) {
+    if (sim::segment_intersects_rect(a, b, bl.footprint)) return true;
+  }
+  return false;
+}
+
 double ChannelModel::loss_probability(sim::Vec2 a, const RadioProfile& ra, sim::Vec2 b,
                                       const RadioProfile& rb, sim::SimTime t) const {
   const double lim = std::min(ra.range_m, rb.range_m);

@@ -65,12 +65,9 @@ class ChannelModel {
   double max_edge_loss() const { return max_edge_loss_; }
 
   /// True if the straight path between two points crosses a building.
-  bool line_of_sight_blocked(sim::Vec2 a, sim::Vec2 b) const {
-    for (const Building& bl : buildings_) {
-      if (sim::segment_intersects_rect(a, b, bl.footprint)) return true;
-    }
-    return false;
-  }
+  /// Out of line on purpose: inlined, the building walk made in_range too
+  /// big to inline at its hot call sites (the move patch, broadcast).
+  bool line_of_sight_blocked(sim::Vec2 a, sim::Vec2 b) const;
 
   /// True if two radios at these positions can exchange frames at all:
   /// within both ranges AND line of sight clear of buildings.

@@ -79,6 +79,8 @@ NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer
   lg.grid.insert(id, position);
   if (use_incremental_) {
     links_.add_node();
+    link_mark_.push_back(0);
+    weight_dirty_.push_back(0);
     attach_links(id);
   }
   invalidate_routes();
@@ -98,9 +100,10 @@ void Network::set_position(NodeId id, sim::Vec2 p) {
   }
   // Incremental mode patches the edge store and learns whether any link
   // appeared/vanished as a byproduct; rebuild mode only answers the
-  // question. Both must run BEFORE the slab position and grid move so the
-  // 3x3 neighborhood of `from` still contains the node's old candidates.
-  const bool changed = use_incremental_ ? patch_links_for_move(id, from, p)
+  // question. Both run BEFORE the slab position and grid move: the patch
+  // range-tests against the old slab, the rebuild check needs the 3x3
+  // neighborhood of `from` to still hold the node's old candidates.
+  const bool changed = use_incremental_ ? patch_links_for_move(id, p)
                                         : neighbor_set_changed(id, from, p);
   positions_[id] = p;
   grid_of(id).move(id, from, p);
@@ -160,7 +163,7 @@ void Network::set_gateway(NodeId id, bool on) {
 
 void Network::add_building(sim::Rect footprint) {
   channel_.add_building(footprint);
-  if (use_incremental_) links_ = full_connectivity();
+  reseed_links();
   invalidate_routes();
 }
 
@@ -207,38 +210,57 @@ bool Network::neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) cons
   return false;
 }
 
-bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
-  // Candidates come from the grids unconditionally: they index every live
-  // node regardless of use_grid_, and any same-layer node whose in-range
-  // relationship with `id` can flip lies in the 3x3 neighborhood of `from`
-  // or of `to` (covering invariant); cross-layer peers are the gateway
-  // list. Visit order is irrelevant here — add_edge_sorted, weight
-  // refreshes, removals and the changed flag are all order-independent —
-  // so the candidates are neither sorted nor deduplicated (each id lives
-  // in exactly one cell of one grid).
-  scratch_.clear();
-  grid_of(id).neighborhood_union(from, to, scratch_);
-  append_gateway_peers(id, scratch_);
+bool Network::patch_links_for_move(NodeId id, sim::Vec2 to) {
+  if (++link_stamp_ == 0) {
+    // Stamp wrap-around: forget every mark so stale ones cannot collide.
+    std::fill(link_mark_.begin(), link_mark_.end(), 0);
+    link_stamp_ = 1;
+  }
   const RadioProfile& pr = profiles_[id];
-  bool changed = false;
-  for (const NodeId other : scratch_) {
-    if (other == id) continue;
-    const bool was = channel_.in_range(from, pr, positions_[other], profiles_[other]);
-    const bool now = channel_.in_range(to, pr, positions_[other], profiles_[other]);
-    if (was == now) {
-      // Retained link: refresh its metric so the store tracks distance
-      // drift exactly like a from-scratch rebuild would.
-      if (now) links_.update_edge_weight(id, other, sim::distance(to, positions_[other]));
-      continue;
-    }
-    changed = true;
-    if (now) {
-      links_.add_edge_sorted(id, other, sim::distance(to, positions_[other]));
-    } else {
-      links_.remove_edge(id, other);
+  // Survivors: the store holds every current link, so each existing peer
+  // is marked and kept iff it is still in range of `to`. The layer
+  // predicate cannot flip on a move.
+  scratch_.clear();
+  for (const Topology::Neighbor& n : links_.neighbors(id)) {
+    link_mark_[n.id] = link_stamp_;
+    if (!channel_.in_range(to, pr, positions_[n.id], profiles_[n.id])) {
+      scratch_.push_back(n.id);
     }
   }
+  // remove_edge mutates the list walked above, hence the copy.
+  for (const NodeId other : scratch_) links_.remove_edge(id, other);
+  bool changed = !scratch_.empty();
+  // Additions: any new peer lies in the 3x3 block of `to` in the layer
+  // grid (covering invariant) or among the gateway peers. The grids index
+  // every live node regardless of use_grid_, and add_edge_sorted is
+  // order-independent, so candidates need no sort.
+  scratch_.clear();
+  grid_of(id).neighborhood(to, scratch_);
+  append_gateway_peers(id, scratch_);
+  for (const NodeId other : scratch_) {
+    if (other == id || link_mark_[other] == link_stamp_) continue;
+    if (channel_.in_range(to, pr, positions_[other], profiles_[other])) {
+      links_.add_edge_sorted(id, other, sim::distance(to, positions_[other]));
+      changed = true;
+    }
+  }
+  if (!weight_dirty_[id]) {
+    weight_dirty_[id] = 1;
+    dirty_nodes_.push_back(id);
+  }
   return changed;
+}
+
+void Network::refresh_weights() const {
+  // std::hypot via sim::distance, exactly as full_connectivity computes it:
+  // sqrt(distance2) can differ in the last bit and flip route tie-breaks.
+  for (const NodeId id : dirty_nodes_) {
+    const sim::Vec2 p = positions_[id];
+    links_.reweigh_sorted(
+        id, [&](NodeId other) { return sim::distance(p, positions_[other]); });
+    weight_dirty_[id] = 0;
+  }
+  dirty_nodes_.clear();
 }
 
 void Network::attach_links(NodeId id) {
@@ -443,8 +465,12 @@ const ShortestPaths& Network::cached_paths(NodeId src) {
     // Incremental mode runs Dijkstra straight over the live edge store; the
     // rebuild baseline pays a full connectivity reconstruction per (source,
     // epoch) — the cost the store exists to delete.
-    entry.paths = use_incremental_ ? links_.shortest_paths(src)
-                                   : connectivity().shortest_paths(src);
+    if (use_incremental_) {
+      refresh_weights();
+      entry.paths = links_.shortest_paths(src);
+    } else {
+      entry.paths = connectivity().shortest_paths(src);
+    }
     entry.epoch = topology_epoch_;
   }
   return entry.paths;
@@ -487,14 +513,18 @@ bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
 }
 
 Topology Network::connectivity() const {
-  if (use_incremental_) return links_;
-  return full_connectivity();
+  if (!use_incremental_) return full_connectivity();
+  refresh_weights();
+  return links_;
 }
 
 const Topology& Network::topology_view() const {
-  if (use_incremental_) return links_;
-  view_scratch_ = full_connectivity();
-  return view_scratch_;
+  if (!use_incremental_) {
+    view_scratch_ = full_connectivity();
+    return view_scratch_;
+  }
+  refresh_weights();
+  return links_;
 }
 
 void Network::set_incremental_connectivity_enabled(bool on) {
@@ -502,7 +532,17 @@ void Network::set_incremental_connectivity_enabled(bool on) {
   use_incremental_ = on;
   // Enabling mid-run seeds the store with one full rebuild; disabling
   // releases it (the rebuild paths never read it).
-  links_ = on ? full_connectivity() : Topology();
+  reseed_links();
+}
+
+void Network::reseed_links() {
+  const std::size_t n = use_incremental_ ? node_count() : 0;
+  links_ = use_incremental_ ? full_connectivity() : Topology();
+  link_mark_.assign(n, 0);
+  link_stamp_ = 0;
+  // A restore can shrink the node count: stale dirty ids must not survive.
+  weight_dirty_.assign(n, 0);
+  dirty_nodes_.clear();
 }
 
 Topology Network::full_connectivity() const {
@@ -594,7 +634,9 @@ Network::MemoryFootprint Network::memory_footprint() const {
                  tx_free_at_.capacity() * sizeof(sim::SimTime);
   m.grid = gateways_.capacity() * sizeof(NodeId);
   for (const LayerGrid& lg : layer_grids_) m.grid += lg.grid.memory_bytes();
-  m.links = links_.memory_bytes();
+  m.links = links_.memory_bytes() + link_mark_.capacity() * sizeof(std::uint32_t) +
+            weight_dirty_.capacity() * sizeof(std::uint8_t) +
+            dirty_nodes_.capacity() * sizeof(NodeId);
   m.route_cache = route_cache_.capacity() * sizeof(RouteCacheEntry);
   for (const RouteCacheEntry& e : route_cache_) {
     m.route_cache += e.paths.dist.capacity() * sizeof(double) +
@@ -681,7 +723,7 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
 
   rebuild_spatial_index();
   // The edge store is derived state: reseed it from the restored slabs.
-  links_ = use_incremental_ ? full_connectivity() : Topology();
+  reseed_links();
 
   // Re-park every in-flight frame and queue its delivery re-arm under the
   // frame's original FIFO seq. reserve() first: &p.event must stay valid

@@ -65,6 +65,10 @@ class Network : public sim::SerializableCheckpointable {
   std::size_t node_count() const { return positions_.size(); }
 
   void set_handler(NodeId id, Handler h);
+  /// Moves a node. With incremental maintenance on, the edge store gains
+  /// and loses exactly the links that changed; the weights of the links
+  /// the node keeps are left stale and re-derived on the next read of the
+  /// store (connectivity(), topology_view(), a route rebuild).
   void set_position(NodeId id, sim::Vec2 p);
   sim::Vec2 position(NodeId id) const { return positions_.at(id); }
   const RadioProfile& profile(NodeId id) const { return profiles_.at(id); }
@@ -115,17 +119,21 @@ class Network : public sim::SerializableCheckpointable {
 
   /// Snapshot of the current connectivity graph among live nodes (edge
   /// weight = distance). With incremental maintenance on (the default)
-  /// this copies the persistent edge store — O(edges), no node scan; with
-  /// it off the graph is rebuilt from grid neighborhoods (O(n * density))
-  /// or the O(n^2) brute scan per the spatial-index flag. All paths
-  /// produce bit-identical topologies.
+  /// this first re-derives the weights of the edges of nodes moved since
+  /// the last read, then copies the persistent edge store — O(edges), no
+  /// node scan; with it off the graph is rebuilt from grid neighborhoods
+  /// (O(n * density)) or the O(n^2) brute scan per the spatial-index
+  /// flag. All paths produce bit-identical topologies. Like every other
+  /// read of the store it may write the weights, so it is not safe to
+  /// call concurrently on one Network.
   Topology connectivity() const;
 
   /// Borrowed view of the current connectivity graph, valid until the next
   /// Network mutation. With incremental maintenance on this is a reference
-  /// to the live edge store — O(1), no copy, no scan; with it off every
-  /// call rebuilds into an internal scratch graph (the full-rebuild
-  /// baseline cost, kept honest for the bench).
+  /// to the live edge store after the same moved-node weight refresh as
+  /// connectivity() — no copy, no scan; with it off every call rebuilds
+  /// into an internal scratch graph (the full-rebuild baseline cost, kept
+  /// honest for the bench).
   const Topology& topology_view() const;
 
   /// Enables/disables the uniform-grid spatial index (default: enabled).
@@ -144,10 +152,10 @@ class Network : public sim::SerializableCheckpointable {
   }
 
   /// Enables/disables incremental connectivity maintenance (default:
-  /// enabled). When on, add_node / set_position / set_node_up compute the
-  /// changed edge set from the grid's 3x3 neighborhood diff and patch a
-  /// persistent edge store, so connectivity views and route rebuilds never
-  /// re-scan all N nodes. When off, every connectivity() call rebuilds
+  /// enabled). When on, add_node / set_position / set_node_up patch a
+  /// persistent edge store with exactly the edges they add or cut, so
+  /// connectivity views and route rebuilds never re-scan all N nodes.
+  /// When off, every connectivity() call rebuilds
   /// from scratch — the full-rebuild baseline, kept alive for
   /// digest-equivalence testing (same bar as the grid-vs-brute contract).
   /// Observable behavior — topologies, epochs, routes, digests — is
@@ -207,7 +215,7 @@ class Network : public sim::SerializableCheckpointable {
   struct MemoryFootprint {
     std::size_t node_slabs = 0;   ///< SoA per-node field vectors
     std::size_t grid = 0;         ///< per-layer grid cells + memos, gateway list
-    std::size_t links = 0;        ///< incremental connectivity edge store
+    std::size_t links = 0;        ///< incremental edge store + its move bookkeeping
     std::size_t route_cache = 0;  ///< per-source shortest-path cache
     std::size_t pending = 0;      ///< in-flight frame slab
     std::size_t total() const {
@@ -339,15 +347,26 @@ class Network : public sim::SerializableCheckpointable {
   /// use_grid_) — the baseline the incremental store must stay
   /// bit-identical to, and the seed for the store on enable/restore.
   Topology full_connectivity() const;
-  /// Patches links_ for a move of live node `id` (must run BEFORE the slab
-  /// position and grid are updated): the union of the two 3x3
-  /// neighborhoods in its layer grid, plus its gateway peers, covers every
-  /// node whose in-range relationship can flip.
-  /// Weights of retained edges are refreshed to the new distance, so the
-  /// store tracks link-metric drift exactly like a from-scratch rebuild.
-  /// Returns whether any edge appeared or vanished — the same answer
-  /// neighbor_set_changed gives, so epoch bumps are mode-identical.
-  bool patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to);
+  /// Reseeds the edge store from a full rebuild (empty when incremental
+  /// maintenance is off) and resets its move bookkeeping — stamps and the
+  /// dirty list — to the current node count.
+  void reseed_links();
+  /// Patches links_ for a move of live node `id` to `to` (must run BEFORE
+  /// the slab position and grid are updated). The store holds exactly the
+  /// live, allowed, in-range pairs, so the node's current links are the
+  /// only ones that can vanish: each survives iff its peer is in range of
+  /// `to`. New links can only come from the 3x3 block of `to` in its layer
+  /// grid plus its gateway peers; peers already linked are stamped and
+  /// skipped, so each candidate costs one range test. Weights of retained
+  /// links are not touched here: the node joins the dirty list and
+  /// refresh_weights() re-derives them on the next read. Returns whether
+  /// any edge appeared or vanished — the same answer neighbor_set_changed
+  /// gives, so epoch bumps are mode-identical.
+  bool patch_links_for_move(NodeId id, sim::Vec2 to);
+  /// Re-derives, on both adjacency sides, the weight of every edge of
+  /// every node moved since the last refresh, and empties the dirty list.
+  /// Called by every reader of links_ weights.
+  void refresh_weights() const;
   /// Adds every edge of a node that just came up / joined (grid must
   /// already contain it).
   void attach_links(NodeId id);
@@ -425,8 +444,17 @@ class Network : public sim::SerializableCheckpointable {
   /// lists are kept sorted ascending by neighbor id — the exact order a
   /// full rebuild produces — so copies, Dijkstra tie-breaks, and digests
   /// are bit-identical to the rebuild paths. Derived state: never saved,
-  /// reseeded by a full rebuild on restore/enable.
-  Topology links_;
+  /// reseeded by a full rebuild on restore/enable/add_building. Mutable
+  /// because its weights are refreshed lazily by const readers.
+  mutable Topology links_;
+  /// Per-node mark of the moving node's current peers (see
+  /// patch_links_for_move); a slot is marked iff it equals link_stamp_.
+  std::vector<std::uint32_t> link_mark_;
+  std::uint32_t link_stamp_ = 0;
+  /// Nodes moved since the last weight refresh, each listed once
+  /// (weight_dirty_ is the per-node membership flag).
+  mutable std::vector<NodeId> dirty_nodes_;
+  mutable std::vector<std::uint8_t> weight_dirty_;
   bool use_incremental_ = true;
   /// Rebuild-mode scratch for topology_view(); mutable pure cache.
   mutable Topology view_scratch_;

@@ -115,27 +115,6 @@ void Topology::add_edge_sorted(NodeId a, NodeId b, double weight) {
   ++edge_count_;
 }
 
-void Topology::update_edge_weight(NodeId a, NodeId b, double weight) {
-  assert(a < node_count() && b < node_count() &&
-         "update_edge_weight: node id out of range");
-  bool found = false;
-  for (auto& n : adjacency_[a]) {
-    if (n.id == b) {
-      n.weight = weight;
-      found = true;
-      break;
-    }
-  }
-  assert(found && "update_edge_weight: edge absent");
-  (void)found;
-  for (auto& m : adjacency_[b]) {
-    if (m.id == a) {
-      m.weight = weight;
-      return;
-    }
-  }
-}
-
 void Topology::remove_edge(NodeId a, NodeId b) {
   if (a >= node_count() || b >= node_count()) return;
   auto erase_from = [](std::vector<Neighbor>& v, NodeId id) {

@@ -7,6 +7,8 @@
 // (random geometric for forward-deployed radio networks, grids for urban
 // street layouts, stars/rings/k-nearest for learning-topology sweeps).
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -75,10 +77,11 @@ class Topology {
   /// sorted edge list. The pair must not already be present (asserts in
   /// debug builds).
   void add_edge_sorted(NodeId a, NodeId b, double weight = 1.0);
-  /// Updates the weight of an edge that MUST already exist (asserts in
-  /// debug builds): unlike set_edge_weight it can never append, so it is
-  /// safe on sorted adjacency lists.
-  void update_edge_weight(NodeId a, NodeId b, double weight);
+  /// Sets the weight of every edge incident to `v` to `weight_of(peer)`,
+  /// on both adjacency sides. Requires id-sorted adjacency lists (see
+  /// add_edge_sorted): each mirror entry is found by binary search.
+  template <class WeightOf>
+  void reweigh_sorted(NodeId v, WeightOf&& weight_of);
   /// Removes the edge if present.
   void remove_edge(NodeId a, NodeId b);
   bool has_edge(NodeId a, NodeId b) const;
@@ -149,5 +152,18 @@ class Topology {
   std::vector<std::vector<Neighbor>> adjacency_;
   std::size_t edge_count_ = 0;
 };
+
+template <class WeightOf>
+void Topology::reweigh_sorted(NodeId v, WeightOf&& weight_of) {
+  for (Neighbor& n : adjacency_.at(v)) {
+    n.weight = weight_of(n.id);
+    std::vector<Neighbor>& mirror = adjacency_[n.id];
+    const auto it = std::lower_bound(
+        mirror.begin(), mirror.end(), v,
+        [](const Neighbor& m, NodeId target) { return m.id < target; });
+    assert(it != mirror.end() && it->id == v && "reweigh_sorted: unsorted adjacency");
+    it->weight = n.weight;
+  }
+}
 
 }  // namespace iobt::net

@@ -1520,5 +1520,185 @@ TEST(NetworkLayers, HeterogeneousLayerChurnIsIdenticalAcrossAllMaintenanceModes)
                                   .small_steps_and_broadcasts = true});
 }
 
+// ------------------------------------------- Deferred edge weights ----
+// A move leaves the weights of the mover's retained links stale until the
+// edge store is next read. Each test below drives moves that keep every
+// link (so the epoch holds and no route is invalidated), then bit-compares
+// one read path against a rebuild-mode twin fed the identical ops.
+
+/// An incremental network and its rebuild-mode twin over a 6x6 lattice
+/// (100 m pitch, 160 m radios: orthogonal and diagonal neighbors link at
+/// 100 m and 141 m, the next ring at >= 200 m does not).
+struct WeightTwins : ::testing::Test {
+  static constexpr int kSide = 6;
+  Simulator sim_inc, sim_reb;
+  Network inc{sim_inc, ChannelModel(2.0, 0.0), Rng(3)};
+  Network reb{sim_reb, ChannelModel(2.0, 0.0), Rng(3)};
+  std::vector<Vec2> home;
+  Rng jitter{17};
+
+  WeightTwins() {
+    reb.set_incremental_connectivity_enabled(false);
+    for (int y = 0; y < kSide; ++y) {
+      for (int x = 0; x < kSide; ++x) {
+        home.push_back({100.0 * x, 100.0 * y});
+        both([&](Network& n) {
+          n.add_node(home.back(), {.range_m = 160, .base_loss = 0.0});
+        });
+      }
+    }
+  }
+  template <typename F>
+  void both(F f) {
+    f(inc);
+    f(reb);
+  }
+  static NodeId at(int x, int y) { return static_cast<NodeId>(y * kSide + x); }
+  /// Moves about half the lattice up to 5 m off its lattice points. Every
+  /// pairwise distance stays within 15 m of its lattice value, so no link
+  /// appears or vanishes: the epoch must hold.
+  void nudge() {
+    const std::uint64_t epoch = inc.topology_epoch();
+    for (NodeId id = 0; id < home.size(); ++id) {
+      if (jitter.uniform() < 0.5) continue;
+      const Vec2 p{home[id].x + jitter.uniform(-5, 5),
+                   home[id].y + jitter.uniform(-5, 5)};
+      both([&](Network& n) { n.set_position(id, p); });
+    }
+    EXPECT_EQ(inc.topology_epoch(), epoch) << "a nudge changed a link";
+    EXPECT_EQ(inc.topology_epoch(), reb.topology_epoch());
+  }
+  void expect_connectivity_matches(const char* what) {
+    expect_identical_topologies(inc.connectivity(), reb.connectivity(), what);
+  }
+};
+
+TEST_F(WeightTwins, ConnectivityRefreshesMovedWeights) {
+  for (int round = 0; round < 8; ++round) {
+    nudge();
+    expect_connectivity_matches("connectivity after nudge");
+  }
+}
+
+TEST_F(WeightTwins, TopologyViewRefreshesMovedWeights) {
+  for (int round = 0; round < 8; ++round) {
+    nudge();
+    const Topology want = reb.connectivity();
+    expect_identical_topologies(inc.topology_view(), want, "view after nudge");
+  }
+}
+
+TEST_F(WeightTwins, RouteRebuildAfterEpochBumpUsesFreshWeights) {
+  // (0,0) -> (5,2) needs 2 diagonal and 3 straight hops in any of 10
+  // orders: equally long on the lattice, so the jitter alone picks the
+  // route. Routes are the only reads here: a refresh missing from the
+  // route rebuild shows up as a different hop sequence.
+  std::vector<NodeId> inc_hops, reb_hops;
+  inc.set_transmit_hook([&](NodeId n, std::size_t) { inc_hops.push_back(n); });
+  reb.set_transmit_hook([&](NodeId n, std::size_t) { reb_hops.push_back(n); });
+  const NodeId src = at(0, 0), dst = at(kSide - 1, 2), spare = at(kSide - 1, kSide - 1);
+  ASSERT_TRUE(inc.route_exists(src, dst));
+  ASSERT_TRUE(reb.route_exists(src, dst));
+  std::set<std::vector<NodeId>> routes;
+  for (int round = 0; round < 12; ++round) {
+    nudge();
+    // A down-and-up flip of a corner node off every candidate route bumps
+    // the epoch and leaves the link set as it was.
+    both([&](Network& n) {
+      n.set_node_up(spare, false);
+      n.set_node_up(spare, true);
+    });
+    inc_hops.clear();
+    reb_hops.clear();
+    EXPECT_TRUE(inc.route_exists(src, dst));
+    EXPECT_TRUE(reb.route_exists(src, dst));
+    both([&](Network& n) {
+      EXPECT_TRUE(n.route_and_send(src, dst, Message{.size_bytes = 8}));
+    });
+    sim_inc.run();
+    sim_reb.run();
+    EXPECT_EQ(inc_hops, reb_hops) << "round " << round;
+    routes.insert(reb_hops);
+  }
+  // The scenario must really exercise tie-breaks: the jitter picks more
+  // than one route over the rounds.
+  EXPECT_GT(routes.size(), 1u);
+  expect_connectivity_matches("after routing");
+}
+
+TEST_F(WeightTwins, SaveRestoreWhileDirtyKeepsWeightsExact) {
+  nudge();
+  const sim::Snapshot snap_inc = sim_inc.checkpoint().save();
+  const sim::Snapshot snap_reb = sim_reb.checkpoint().save();
+  // Grow past the saved node count and dirty the newcomers: the restore
+  // shrinks the network, so their ids must leave the dirty list with it.
+  // 100 m radios at cell centers: each links to its 4 lattice corners
+  // (71 m) and to nothing else (the next ring is 158 m away).
+  for (int i = 0; i < 4; ++i) {
+    both([&](Network& n) {
+      n.add_node({50.0 + 200.0 * i, 50.0}, {.range_m = 100, .base_loss = 0.0});
+    });
+  }
+  for (NodeId id = static_cast<NodeId>(home.size()); id < inc.node_count(); ++id) {
+    both([&](Network& n) { n.set_position(id, {n.position(id).x + 3.0, 53.0}); });
+  }
+  nudge();
+  sim_inc.checkpoint().restore(snap_inc);
+  sim_reb.checkpoint().restore(snap_reb);
+  ASSERT_EQ(inc.node_count(), home.size());
+  expect_connectivity_matches("right after restore");
+  nudge();
+  expect_connectivity_matches("nudged after restore");
+}
+
+TEST_F(WeightTwins, DirtyNodeTakenDownAndBroughtBackUp) {
+  const NodeId k = at(2, 3);
+  nudge();
+  const Vec2 moved{home[k].x + 4.0, home[k].y - 4.0};
+  both([&](Network& n) {
+    n.set_position(k, moved);
+    n.set_node_up(k, false);
+  });
+  expect_connectivity_matches("dirty node down");
+  both([&](Network& n) {
+    n.set_position(k, home[k]);  // silent reposition while down
+    n.set_node_up(k, true);
+  });
+  expect_connectivity_matches("back up");
+  // Down and straight back up while still dirty, then moved again.
+  both([&](Network& n) {
+    n.set_position(k, moved);
+    n.set_node_up(k, false);
+    n.set_node_up(k, true);
+  });
+  nudge();
+  expect_connectivity_matches("down-up while dirty, then nudged");
+}
+
+TEST_F(WeightTwins, AddNodeAfterMovesKeepsWeightsExact) {
+  nudge();
+  // The newcomer (100 m radio, cell center) links to its 4 lattice
+  // corners, some of them dirty; their older links must still be
+  // refreshed on the next read.
+  both([&](Network& n) {
+    n.add_node({250.0, 250.0}, {.range_m = 100, .base_loss = 0.0});
+  });
+  expect_connectivity_matches("after add_node");
+  nudge();
+  expect_connectivity_matches("nudged after add_node");
+}
+
+TEST_F(WeightTwins, AddBuildingWhileDirtyKeepsWeightsExact) {
+  nudge();
+  const std::size_t edges = reb.connectivity().edge_count();
+  // A thin wall between columns 2 and 3 cuts the diagonals that cross it;
+  // every sight line stays >= 15 m clear of its edges under any nudge.
+  both([&](Network& n) { n.add_building({{245, 120}, {255, 380}}); });
+  expect_connectivity_matches("after add_building");
+  EXPECT_LT(reb.connectivity().edge_count(), edges);
+  nudge();
+  expect_connectivity_matches("nudged after add_building");
+}
+
 }  // namespace
 }  // namespace iobt::net
