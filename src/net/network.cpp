@@ -77,7 +77,7 @@ NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer
     }
   }
   lg.grid.insert(id, position);
-  if (use_incremental_) {
+  if (!links_stale_) {
     links_.add_node();
     link_mark_.push_back(0);
     weight_dirty_.push_back(0);
@@ -119,10 +119,10 @@ void Network::set_node_up(NodeId id, bool up) {
   up_[id] = up ? 1 : 0;
   if (up) {
     grid_of(id).insert(id, positions_[id]);
-    if (use_incremental_) attach_links(id);
+    if (!links_stale_) attach_links(id);
   } else {
     grid_of(id).remove(id, positions_[id]);
-    if (use_incremental_) detach_links(id);
+    if (!links_stale_) detach_links(id);
   }
   invalidate_routes();
 }
@@ -135,14 +135,15 @@ void Network::set_gateway(NodeId id, bool on) {
     // in-range gateways: same-layer links ignore the flag, and a non-
     // gateway peer blocks the bridge regardless. Candidates come from the
     // gateway list in every mode, so the changed/unchanged answer — and
-    // with it the epoch — is identical in every mode.
+    // with it the epoch — is identical in every mode, and is computed even
+    // while the edge store is stale and takes no edits.
     const sim::Vec2 p = positions_[id];
     const RadioProfile& pr = profiles_[id];
     for (const NodeId other : gateways_) {
       if (!up_[other] || layers_[other] == layers_[id]) continue;
       if (!channel_.in_range(p, pr, positions_[other], profiles_[other])) continue;
       changed = true;
-      if (use_incremental_) {
+      if (!links_stale_) {
         if (on) {
           links_.add_edge_sorted(id, other, sim::distance(p, positions_[other]));
         } else {
@@ -211,6 +212,7 @@ bool Network::neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) cons
 }
 
 bool Network::patch_links_for_move(NodeId id, sim::Vec2 to) {
+  ensure_links();
   if (++link_stamp_ == 0) {
     // Stamp wrap-around: forget every mark so stale ones cannot collide.
     std::fill(link_mark_.begin(), link_mark_.end(), 0);
@@ -252,6 +254,7 @@ bool Network::patch_links_for_move(NodeId id, sim::Vec2 to) {
 }
 
 void Network::refresh_weights() const {
+  ensure_links();
   // std::hypot via sim::distance, exactly as full_connectivity computes it:
   // sqrt(distance2) can differ in the last bit and flip route tie-breaks.
   for (const NodeId id : dirty_nodes_) {
@@ -530,19 +533,27 @@ const Topology& Network::topology_view() const {
 void Network::set_incremental_connectivity_enabled(bool on) {
   if (use_incremental_ == on) return;
   use_incremental_ = on;
-  // Enabling mid-run seeds the store with one full rebuild; disabling
-  // releases it (the rebuild paths never read it).
+  // Enabling mid-run leaves the store to be seeded by its first reader;
+  // disabling releases it (the rebuild paths never read it).
   reseed_links();
 }
 
 void Network::reseed_links() {
-  const std::size_t n = use_incremental_ ? node_count() : 0;
-  links_ = use_incremental_ ? full_connectivity() : Topology();
-  link_mark_.assign(n, 0);
-  link_stamp_ = 0;
+  links_stale_ = true;
+  links_ = Topology();
+  link_mark_.clear();
   // A restore can shrink the node count: stale dirty ids must not survive.
-  weight_dirty_.assign(n, 0);
+  weight_dirty_.clear();
   dirty_nodes_.clear();
+}
+
+void Network::ensure_links() const {
+  if (!links_stale_ || !use_incremental_) return;
+  links_ = full_connectivity();
+  link_mark_.assign(node_count(), 0);
+  link_stamp_ = 0;
+  weight_dirty_.assign(node_count(), 0);
+  links_stale_ = false;
 }
 
 Topology Network::full_connectivity() const {
@@ -623,6 +634,7 @@ std::vector<bool> Network::free_slots() const {
 }
 
 Network::MemoryFootprint Network::memory_footprint() const {
+  ensure_links();
   MemoryFootprint m;
   m.node_slabs = positions_.capacity() * sizeof(sim::Vec2) +
                  profiles_.capacity() * sizeof(RadioProfile) +
@@ -722,7 +734,8 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
   route_cache_.assign(node_count(), RouteCacheEntry{});
 
   rebuild_spatial_index();
-  // The edge store is derived state: reseed it from the restored slabs.
+  // The edge store is derived state: its first reader reseeds it from the
+  // restored slabs.
   reseed_links();
 
   // Re-park every in-flight frame and queue its delivery re-arm under the
@@ -834,7 +847,7 @@ bool Network::decode_state(sim::Snapshot& snap, const std::string& key,
   for (std::uint64_t i = 0; i < buildings; ++i) st.channel.add_building(r.rect());
 
   st.rng = r.rng();
-  auto metrics = sim::MetricsRegistry::deserialize(r.bytes());
+  auto metrics = sim::MetricsRegistry::deserialize(r.bytes_view());
   if (!metrics) return false;
   st.metrics = std::move(*metrics);
   st.frames_dropped = r.u64();

@@ -155,12 +155,13 @@ class Network : public sim::SerializableCheckpointable {
   /// enabled). When on, add_node / set_position / set_node_up patch a
   /// persistent edge store with exactly the edges they add or cut, so
   /// connectivity views and route rebuilds never re-scan all N nodes.
+  /// The store is seeded by one full rebuild on its first read (at birth,
+  /// after a restore, after add_building, after toggling on).
   /// When off, every connectivity() call rebuilds
   /// from scratch — the full-rebuild baseline, kept alive for
   /// digest-equivalence testing (same bar as the grid-vs-brute contract).
   /// Observable behavior — topologies, epochs, routes, digests — is
-  /// bit-identical in both modes; only wall time differs. Toggling on
-  /// mid-run pays one full rebuild to seed the store.
+  /// bit-identical in both modes; only wall time differs.
   void set_incremental_connectivity_enabled(bool on);
   bool incremental_connectivity_enabled() const { return use_incremental_; }
 
@@ -184,8 +185,9 @@ class Network : public sim::SerializableCheckpointable {
   /// so the connectivity graph is untouched.
   void add_jammer(Jammer j) { channel_.add_jammer(j); }
   /// Raises an RF-opaque building. It can cut any existing link, so the
-  /// edge store is reseeded from a full rebuild and the topology epoch is
-  /// bumped (in every maintenance mode, keeping epochs mode-identical).
+  /// edge store is marked stale (the next read reseeds it from a full
+  /// rebuild) and the topology epoch is bumped (in every maintenance mode,
+  /// keeping epochs mode-identical).
   void add_building(sim::Rect footprint);
   sim::Simulator& simulator() { return sim_; }
 
@@ -210,6 +212,8 @@ class Network : public sim::SerializableCheckpointable {
 
   /// Bytes held per substrate structure (container capacities x element
   /// sizes — a deterministic structural measure, not allocator truth).
+  /// Seeds a stale edge store first, so `links` always counts the store
+  /// incremental maintenance keeps.
   /// Feeds the memory-per-node column of the scaling bench: the budget
   /// that decides whether one world fits 100k+ nodes.
   struct MemoryFootprint {
@@ -228,9 +232,10 @@ class Network : public sim::SerializableCheckpointable {
   // Saved: node slabs (positions, profiles, liveness, accounting — NOT the
   // receive handlers, which are closures of the live service stack),
   // channel, rng, metrics, and every in-flight frame with its delivery
-  // time + original FIFO seq. Restored: all of the above, with the grid,
-  // the incremental edge store, and the route cache rebuilt from scratch
-  // (pure derived state) and deliveries re-armed in original-seq order.
+  // time + original FIFO seq. Restored: all of the above, with the grid
+  // and the route cache rebuilt from scratch and the incremental edge
+  // store marked stale (pure derived state; the first read reseeds it),
+  // and deliveries re-armed in original-seq order.
   // Handlers already installed on the restoring stack are kept per-node;
   // services that installed handlers on nodes created mid-run (e.g. Sybil
   // firmware) must re-install them from their own participant restore.
@@ -345,12 +350,19 @@ class Network : public sim::SerializableCheckpointable {
 
   /// Full-scan connectivity rebuild (grid neighborhoods or brute force per
   /// use_grid_) — the baseline the incremental store must stay
-  /// bit-identical to, and the seed for the store on enable/restore.
+  /// bit-identical to, and the seed of the store.
   Topology full_connectivity() const;
-  /// Reseeds the edge store from a full rebuild (empty when incremental
-  /// maintenance is off) and resets its move bookkeeping — stamps and the
-  /// dirty list — to the current node count.
+  /// Marks the edge store stale and releases it with its move bookkeeping
+  /// (used by restore, add_building and the maintenance-mode toggle). The
+  /// next reader reseeds it through ensure_links().
   void reseed_links();
+  /// Seeds a stale edge store from one full rebuild and sizes its move
+  /// bookkeeping — stamps and the dirty list — to the current node count.
+  /// A no-op while the store is live or incremental maintenance is off.
+  /// Every reader of links_ calls it first: patch_links_for_move,
+  /// refresh_weights (hence connectivity, topology_view and cached_paths)
+  /// and memory_footprint.
+  void ensure_links() const;
   /// Patches links_ for a move of live node `id` to `to` (must run BEFORE
   /// the slab position and grid are updated). The store holds exactly the
   /// live, allowed, in-range pairs, so the node's current links are the
@@ -368,9 +380,9 @@ class Network : public sim::SerializableCheckpointable {
   /// Called by every reader of links_ weights.
   void refresh_weights() const;
   /// Adds every edge of a node that just came up / joined (grid must
-  /// already contain it).
+  /// already contain it). Live store only.
   void attach_links(NodeId id);
-  /// Removes every edge of a node that just went down.
+  /// Removes every edge of a node that just went down. Live store only.
   void detach_links(NodeId id);
 
   sim::Simulator& sim_;
@@ -440,17 +452,24 @@ class Network : public sim::SerializableCheckpointable {
   mutable std::vector<Edge> edge_scratch_;
 
   /// Persistent connectivity edge store, patched in place by add_node /
-  /// set_position / set_node_up while use_incremental_ is on. Adjacency
-  /// lists are kept sorted ascending by neighbor id — the exact order a
-  /// full rebuild produces — so copies, Dijkstra tie-breaks, and digests
-  /// are bit-identical to the rebuild paths. Derived state: never saved,
-  /// reseeded by a full rebuild on restore/enable/add_building. Mutable
-  /// because its weights are refreshed lazily by const readers.
+  /// set_position / set_node_up / set_gateway while use_incremental_ is on
+  /// and the store is live. Adjacency lists are kept sorted ascending by
+  /// neighbor id — the exact order a full rebuild produces — so copies,
+  /// Dijkstra tie-breaks, and digests are bit-identical to the rebuild
+  /// paths. Derived state: never saved. It is stale at birth and after
+  /// every reseed_links(); while stale, mutators skip their edits and the
+  /// first reader seeds it with one full rebuild (ensure_links), so a
+  /// stack that is built and then restored — every served query — never
+  /// pays for a store it throws away. Mutable because const readers seed
+  /// it and refresh its weights lazily.
   mutable Topology links_;
+  /// True while links_ does not describe the network (see links_). Stays
+  /// true in rebuild mode, whose paths never read the store.
+  mutable bool links_stale_ = true;
   /// Per-node mark of the moving node's current peers (see
   /// patch_links_for_move); a slot is marked iff it equals link_stamp_.
-  std::vector<std::uint32_t> link_mark_;
-  std::uint32_t link_stamp_ = 0;
+  mutable std::vector<std::uint32_t> link_mark_;
+  mutable std::uint32_t link_stamp_ = 0;
   /// Nodes moved since the last weight refresh, each listed once
   /// (weight_dirty_ is the per-node membership flag).
   mutable std::vector<NodeId> dirty_nodes_;

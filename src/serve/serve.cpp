@@ -209,49 +209,6 @@ void CampaignService::cache_put(std::uint64_t key,
   }
 }
 
-std::shared_ptr<const sim::Snapshot> CampaignService::disk_get(
-    std::uint64_t key, const Query& q) {
-  if (!store_) return nullptr;
-  const auto load_start = std::chrono::steady_clock::now();
-  std::string bytes;
-  switch (store_->get(key, bytes)) {
-    case SnapshotStore::GetStatus::kMissing:
-      return nullptr;
-    case SnapshotStore::GetStatus::kRejected:
-      ++stats_.disk_rejects;
-      return nullptr;
-    case SnapshotStore::GetStatus::kHit:
-      break;
-  }
-  // Decode against a scratch stack built from the query itself: the
-  // registry roster (participant keys, order) comes from the live stack,
-  // so the wire image is validated against exactly the scenario this
-  // query would cold-simulate. A file from a different roster decodes to
-  // nullopt; a file for a different prefix fails the stamp check. Either
-  // way the caller falls back to a cold sim — never a crash, never a
-  // silently divergent snapshot.
-  try {
-    dissem::DissemScenario s(q.spec, q.seed);
-    auto snap = s.sim.checkpoint().deserialize_snapshot(bytes);
-    if (!snap || snap->prefix_hash() != key) {
-      ++stats_.disk_rejects;
-      return nullptr;
-    }
-    auto shared = std::make_shared<const sim::Snapshot>(*std::move(snap));
-    // The re-warmed entry's rebuild cost is its load+decode wall — far
-    // below a prefix sim, which is correct: evicting it is cheap because
-    // it is STILL ON DISK.
-    cache_put(key, shared, now_ms_since(load_start));
-    ++stats_.disk_hits;
-    return shared;
-  } catch (const std::exception&) {
-    // Scratch-stack construction failed (e.g. a spec this binary can no
-    // longer build): treat like a rejected file.
-    ++stats_.disk_rejects;
-    return nullptr;
-  }
-}
-
 void CampaignService::clear_cache() {
   lru_.clear();
   index_.clear();
@@ -277,21 +234,20 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
     }
   }
 
-  // ---- 2. Prefix dedup: memory LRU, then disk tier, then cold ----------
+  // ---- 2. Prefix dedup against the memory LRU --------------------------
   // batch_snaps is filled before the fan-out and read-only during it.
-  // cached_keys marks prefixes whose snapshot EXISTS already (memory or
-  // disk); a query deduped onto one is a genuine cache hit. A query
-  // deduped onto a cold placeholder is NOT — its prefix sim hasn't run
-  // yet, let alone succeeded — so those are deferred to `deduped_cold`
-  // and reconciled after step 3 (batch_dedup iff the shared sim worked).
+  // cached_keys marks prefixes the memory tier already held; a query
+  // deduped onto one is a genuine cache hit. Every other distinct prefix
+  // is a miss resolved in step 3, so a query deduped onto it waits in
+  // `deduped_miss` for that verdict.
   std::unordered_map<std::uint64_t, std::shared_ptr<const sim::Snapshot>>
       batch_snaps;
   std::unordered_map<std::uint64_t, std::string> prefix_errors;
   std::unordered_map<std::uint64_t, double> prefix_wall_ms;
   std::unordered_map<std::uint64_t, std::size_t> prefix_fanout;
   std::unordered_set<std::uint64_t> cached_keys;
-  std::vector<std::size_t> cold;         // first query index per cold prefix
-  std::vector<std::size_t> deduped_cold; // queries riding an in-batch cold sim
+  std::vector<std::size_t> misses;        // first query index per miss
+  std::vector<std::size_t> deduped_miss;  // queries riding an in-batch miss
   for (std::size_t i = 0; i < std::min(cap, n); ++i) {
     const std::uint64_t key = out.results[i].prefix;
     ++prefix_fanout[key];
@@ -302,7 +258,7 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
         out.results[i].cache_hit = true;
         ++stats_.hits;
       } else {
-        deduped_cold.push_back(i);  // verdict pending on the cold sim
+        deduped_miss.push_back(i);  // verdict pending on step 3
       }
       continue;
     }
@@ -313,51 +269,74 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
       ++stats_.hits;
       continue;
     }
-    if (auto snap = disk_get(key, queries[i])) {
-      // Re-warm: the durable tier had a verified snapshot. disk_get
-      // already promoted it into the memory LRU and counted disk_hits.
-      batch_snaps.emplace(key, std::move(snap));
-      cached_keys.insert(key);
-      out.results[i].cache_hit = true;
-      ++stats_.hits;
-      ++out.disk_hits;
-      continue;
-    }
-    batch_snaps.emplace(key, nullptr);  // placeholder: simulated below
-    cold.push_back(i);
-    ++stats_.misses;
+    batch_snaps.emplace(key, nullptr);  // placeholder: resolved below
+    misses.push_back(i);
   }
-  out.prefix_sims = cold.size();
 
-  // ---- 3. Simulate cold prefixes once each, in parallel ----------------
-  // Each replication returns the snapshot AND (when the durable tier is
-  // on) its wire image — serialization needs the live registry roster,
-  // which only exists inside the replication body. The disk write itself
-  // happens on this thread afterwards, so the store sees one writer.
+  // ---- 3. Resolve each miss once, in parallel: disk tier, else cold ----
+  // A replication first tries the durable tier: load and verify the file,
+  // decode it against a scratch stack built from the query itself (the
+  // registry roster — participant keys, order — comes from the live
+  // stack, so the image is validated against exactly the scenario this
+  // query would cold-simulate), and check the prefix stamp. A missing
+  // file, a rejected one (corrupt, other roster, other prefix) or a
+  // failure to build the scratch stack falls back to the cold prefix
+  // simulation — never a crash, never a silently divergent snapshot. A
+  // cold replication also returns its wire image when the tier is on:
+  // serialization needs the live registry roster, which only exists
+  // inside the body. Disk writes and every cache and counter update
+  // happen on this thread afterwards, in miss order, so the store sees
+  // one writer and the batch's counts do not depend on the worker count.
   struct PrefixArtifact {
     std::shared_ptr<const sim::Snapshot> snapshot;
-    std::string wire;  ///< empty when not serializable / tier disabled
+    std::string wire;  ///< cold only; empty when not serializable / tier off
+    bool from_disk = false;
   };
-  if (!cold.empty()) {
+  // Per-miss disk rejections, written by the owning replication (distinct
+  // slots, read after the run); kept outside the payload so a rejection is
+  // still counted when the cold fallback then throws.
+  std::vector<std::uint8_t> disk_rejected(misses.size(), 0);
+  if (!misses.empty()) {
     sim::ParallelRunner::Options po;
     po.workers = opts_.workers;
     po.repro_program = opts_.repro_program;
     const sim::ParallelRunner prefix_runner(po);
     std::vector<std::uint64_t> seeds;
-    seeds.reserve(cold.size());
-    for (std::size_t i : cold) seeds.push_back(queries[i].seed);
-    const bool want_wire = store_ != nullptr;
+    seeds.reserve(misses.size());
+    for (std::size_t i : misses) seeds.push_back(queries[i].seed);
+    const SnapshotStore* store = store_.get();
     const auto prefixes = prefix_runner.run<PrefixArtifact>(
         seeds, [&](sim::ReplicationContext& ctx) {
-          const Query& q = queries[cold[ctx.index]];
+          const Query& q = queries[misses[ctx.index]];
+          const std::uint64_t key = out.results[misses[ctx.index]].prefix;
+          PrefixArtifact art;
+          if (store != nullptr) {
+            std::string bytes;
+            const SnapshotStore::GetStatus status = store->get(key, bytes);
+            if (status == SnapshotStore::GetStatus::kHit) {
+              try {
+                dissem::DissemScenario scratch(q.spec, q.seed);
+                auto snap = scratch.sim.checkpoint().deserialize_snapshot(bytes);
+                if (snap && snap->prefix_hash() == key) {
+                  art.snapshot =
+                      std::make_shared<const sim::Snapshot>(*std::move(snap));
+                  art.from_disk = true;
+                  return art;
+                }
+              } catch (const std::exception&) {
+                // A spec this binary can no longer build: like a bad file.
+              }
+            }
+            // A file was there but could not serve this prefix.
+            disk_rejected[ctx.index] = status != SnapshotStore::GetStatus::kMissing;
+          }
           dissem::DissemScenario s(q.spec, q.seed);
           s.sim.run_until(sim::SimTime::seconds(q.branch_time_s));
           // The snapshot carries its prefix key; the branch body verifies
           // the stamp before restoring (cache-integrity check).
-          PrefixArtifact art;
-          art.snapshot = std::make_shared<const sim::Snapshot>(
-              s.sim.checkpoint().save(out.results[cold[ctx.index]].prefix));
-          if (want_wire) {
+          art.snapshot =
+              std::make_shared<const sim::Snapshot>(s.sim.checkpoint().save(key));
+          if (store != nullptr) {
             std::string wire;
             if (s.sim.checkpoint().serialize_snapshot(*art.snapshot, wire)) {
               art.wire = std::move(wire);
@@ -365,9 +344,25 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
           }
           return art;
         });
-    for (std::size_t j = 0; j < cold.size(); ++j) {
-      const std::uint64_t key = out.results[cold[j]].prefix;
+    for (std::size_t j = 0; j < misses.size(); ++j) {
+      const std::uint64_t key = out.results[misses[j]].prefix;
       const auto& rep = prefixes.replications[j];
+      if (disk_rejected[j]) ++stats_.disk_rejects;
+      // The entry's rebuild cost is what the replication took: a prefix
+      // sim, or a disk load + decode — far cheaper, which is right:
+      // evicting a re-warmed entry is cheap because it is STILL ON DISK.
+      if (rep.ok && rep.payload.from_disk) {
+        batch_snaps[key] = rep.payload.snapshot;
+        cached_keys.insert(key);
+        cache_put(key, rep.payload.snapshot, rep.wall_ms);
+        out.results[misses[j]].cache_hit = true;
+        ++stats_.hits;
+        ++stats_.disk_hits;
+        ++out.disk_hits;
+        continue;
+      }
+      ++stats_.misses;
+      ++out.prefix_sims;
       prefix_wall_ms[key] = rep.wall_ms;
       if (rep.ok) {
         batch_snaps[key] = rep.payload.snapshot;
@@ -384,13 +379,18 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
   stats_.entries = lru_.size();
 
   // Reconcile the deferred dedup verdicts: a query that shared an
-  // in-batch cold sim is batch_dedup iff that sim succeeded. Failures get
-  // neither flag — the fan-out below surfaces the prefix error per query.
-  for (std::size_t i : deduped_cold) {
+  // in-batch miss is a cache hit when the disk tier resolved it, and
+  // batch_dedup when a cold sim did and succeeded. Failures get neither
+  // flag — the fan-out below surfaces the prefix error per query.
+  for (std::size_t i : deduped_miss) {
     const std::uint64_t key = out.results[i].prefix;
-    if (prefix_errors.count(key)) continue;
-    out.results[i].batch_dedup = true;
-    ++stats_.batch_dedup;
+    if (cached_keys.count(key)) {
+      out.results[i].cache_hit = true;
+      ++stats_.hits;
+    } else if (!prefix_errors.count(key)) {
+      out.results[i].batch_dedup = true;
+      ++stats_.batch_dedup;
+    }
   }
   for (const QueryResult& r : out.results) {
     if (r.cache_hit) ++out.cache_hits;

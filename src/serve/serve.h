@@ -153,10 +153,11 @@ class CampaignService {
 
   explicit CampaignService(Options opts);
 
-  /// Answers a batch: dedup prefixes -> simulate cold prefixes (cache
-  /// misses) once each -> fan every admitted query's branch out on the
-  /// runner. Per-query digests are independent of cache state, batch
-  /// composition, and worker count.
+  /// Answers a batch: dedup prefixes against the memory tier -> resolve
+  /// each miss once on the runner (disk re-warm, else cold prefix sim) ->
+  /// fan every admitted query's branch out on the runner. Per-query
+  /// digests are independent of cache state, batch composition, and
+  /// worker count.
   BatchResult submit(const std::vector<Query>& queries);
 
   /// The serial reference: simulate `q` from t = 0 with no cache, no
@@ -201,11 +202,6 @@ class CampaignService {
   /// itself is evictable if it is the cheapest-per-staleness entry.
   void cache_put(std::uint64_t key, std::shared_ptr<const sim::Snapshot> snap,
                  double rebuild_ms);
-  /// Disk-tier lookup: load, verify, decode against a scratch stack built
-  /// from `q`, stamp-check. nullptr on miss or any rejection (which also
-  /// bumps stats_.disk_rejects).
-  std::shared_ptr<const sim::Snapshot> disk_get(std::uint64_t key,
-                                                const Query& q);
 
   Options opts_;
   std::list<CacheEntry> lru_;  ///< front = most recently used

@@ -1,12 +1,13 @@
 #include "serve/snapshot_store.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
+
+#include "sim/wire.h"
 
 namespace iobt::serve {
 
@@ -29,18 +30,33 @@ std::uint64_t fnv1a(const std::string& bytes) {
 
 std::string header_line(std::uint64_t prefix_hash, const std::string& payload) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %" PRIu64 " %016" PRIx64 " %zu %016" PRIx64 "\n",
-                kMagic, kFormatVersion, prefix_hash, payload.size(),
-                fnv1a(payload));
-  return buf;
+  char* p = std::copy_n(kMagic, sizeof(kMagic) - 1, buf);
+  *p++ = ' ';
+  p = sim::format_u64(p, kFormatVersion);
+  *p++ = ' ';
+  p = sim::format_hex64(p, prefix_hash);
+  *p++ = ' ';
+  p = sim::format_u64(p, payload.size());
+  *p++ = ' ';
+  p = sim::format_hex64(p, fnv1a(payload));
+  *p++ = '\n';
+  return std::string(buf, p);
+}
+
+/// Splits the next single-space-separated field off `line`.
+std::string_view next_field(std::string_view& line) {
+  const std::size_t sep = line.find(' ');
+  const std::string_view field = line.substr(0, sep);
+  line.remove_prefix(sep == std::string_view::npos ? line.size() : sep + 1);
+  return field;
 }
 
 }  // namespace
 
 std::string SnapshotStore::file_name(std::uint64_t prefix_hash) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "snap_%016" PRIx64 ".iosnap", prefix_hash);
-  return buf;
+  char hex[16];
+  sim::format_hex64(hex, prefix_hash);
+  return "snap_" + std::string(hex, sizeof hex) + ".iosnap";
 }
 
 SnapshotStore::SnapshotStore(std::string dir) : dir_(std::move(dir)) {
@@ -87,31 +103,34 @@ SnapshotStore::GetStatus SnapshotStore::get(std::uint64_t prefix_hash,
 
   std::string header;
   if (!std::getline(in, header)) return GetStatus::kRejected;
-  std::istringstream hs(header);
-  std::string magic;
-  std::uint64_t version = 0;
-  std::string prefix_hex, checksum_hex;
-  std::size_t payload_size = 0;
-  if (!(hs >> magic >> version >> prefix_hex >> payload_size >> checksum_hex) ||
-      magic != kMagic || version != kFormatVersion ||
-      prefix_hex.size() != 16 || checksum_hex.size() != 16) {
-    return GetStatus::kRejected;
-  }
-  std::uint64_t stamp = 0, checksum = 0;
-  if (std::sscanf(prefix_hex.c_str(), "%16" SCNx64, &stamp) != 1 ||
-      std::sscanf(checksum_hex.c_str(), "%16" SCNx64, &checksum) != 1) {
+  // Exactly the five canonical fields header_line writes, one space apart.
+  std::string_view rest = header;
+  std::uint64_t version = 0, stamp = 0, payload_size = 0, checksum = 0;
+  if (next_field(rest) != kMagic || !sim::parse_u64(next_field(rest), version) ||
+      version != kFormatVersion ||
+      !sim::parse_hex64(next_field(rest), stamp) ||
+      !sim::parse_u64(next_field(rest), payload_size) ||
+      !sim::parse_hex64(rest, checksum)) {
     return GetStatus::kRejected;
   }
   if (stamp != prefix_hash) return GetStatus::kRejected;
 
-  std::string payload(payload_size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::size_t>(in.gcount()) != payload_size) {
-    return GetStatus::kRejected;  // truncated
+  // Exact-size check before allocating: a size field that disagrees with
+  // the bytes on disk (truncation, trailing garbage, a lying header) is a
+  // rejection, never a giant allocation.
+  const std::streamoff body_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  if (body_start < 0 || file_end < body_start ||
+      static_cast<std::uint64_t>(file_end - body_start) != payload_size) {
+    return GetStatus::kRejected;
   }
-  // Exact-size check: trailing garbage means the size field lied.
-  char extra = 0;
-  if (in.read(&extra, 1); in.gcount() != 0) return GetStatus::kRejected;
+  in.seekg(body_start);
+  std::string payload(static_cast<std::size_t>(payload_size), '\0');
+  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
+  if (static_cast<std::uint64_t>(in.gcount()) != payload_size) {
+    return GetStatus::kRejected;
+  }
   if (fnv1a(payload) != checksum) return GetStatus::kRejected;
 
   out = std::move(payload);

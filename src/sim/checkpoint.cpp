@@ -129,8 +129,8 @@ std::optional<Snapshot> CheckpointRegistry::deserialize_snapshot(
   for (const Entry& e : participants_) {
     const auto* s = dynamic_cast<const SerializableCheckpointable*>(e.participant);
     if (s == nullptr) return std::nullopt;
-    const std::string key = r.bytes();
-    const std::string blob = r.bytes();
+    const std::string_view key = r.bytes_view();
+    const std::string_view blob = r.bytes_view();
     // The image must have been written over a roster built by the same
     // scenario code: key order is the participant dispatch.
     if (!r.ok() || key != e.key) return std::nullopt;

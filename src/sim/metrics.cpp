@@ -1,13 +1,10 @@
 #include "sim/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "sim/rng.h"
+#include "sim/wire.h"
 
 namespace iobt::sim {
 
@@ -133,39 +130,59 @@ Summary Summary::from_state(State s) {
 
 namespace {
 
-// Doubles travel as the hex of their raw bit pattern — the only encoding
-// that survives a text round trip bit-for-bit (printf %.17g does not
-// preserve NaN payloads or distinguish every -0.0 path).
+// One image, one number codec (sim/wire.h): counts as canonical decimal,
+// doubles as the 16-hex raw bit pattern — the only encoding that survives
+// a text round trip bit-for-bit.
 void append_double_bits(std::string& out, double x) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &x, sizeof bits);
-  char buf[20];
-  std::snprintf(buf, sizeof buf, " %016" PRIx64, bits);
-  out += buf;
+  char tok[17] = {' '};
+  format_hex64(tok + 1, bits);
+  out.append(tok, sizeof tok);
 }
 
 void append_u64(std::string& out, std::uint64_t v) {
-  out += ' ';
-  out += std::to_string(v);
+  char tok[kMaxU64Chars + 1] = {' '};
+  out.append(tok, format_u64(tok + 1, v));
 }
 
-bool read_u64(std::istream& in, std::uint64_t& v) {
-  std::string tok;
-  if (!(in >> tok) || tok.empty()) return false;
-  char* end = nullptr;
-  v = std::strtoull(tok.c_str(), &end, 10);
-  return end == tok.c_str() + tok.size();
-}
+/// Whitespace-run tokenizer over the image: any run of spaces, tabs or
+/// newlines separates tokens.
+class TokenCursor {
+ public:
+  explicit TokenCursor(std::string_view in) : in_(in) {}
 
-bool read_double_bits(std::istream& in, double& x) {
-  std::string tok;
-  if (!(in >> tok) || tok.size() != 16) return false;
-  char* end = nullptr;
-  const std::uint64_t bits = std::strtoull(tok.c_str(), &end, 16);
-  if (end != tok.c_str() + tok.size()) return false;
-  std::memcpy(&x, &bits, sizeof x);
-  return true;
-}
+  /// The next token; empty once the input is exhausted.
+  std::string_view next() {
+    while (pos_ < in_.size() && is_space(in_[pos_])) ++pos_;
+    const std::size_t start = pos_;
+    while (pos_ < in_.size() && !is_space(in_[pos_])) ++pos_;
+    return in_.substr(start, pos_ - start);
+  }
+  bool u64(std::uint64_t& v) { return parse_u64(next(), v); }
+  bool double_bits(double& x) {
+    std::uint64_t bits = 0;
+    if (!parse_hex64(next(), bits)) return false;
+    std::memcpy(&x, &bits, sizeof x);
+    return true;
+  }
+  /// A key token (any non-empty run of non-whitespace).
+  bool key(std::string& out) {
+    const std::string_view tok = next();
+    if (tok.empty()) return false;
+    out.assign(tok);
+    return true;
+  }
+
+ private:
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  }
+
+  std::string_view in_;
+  std::size_t pos_ = 0;
+};
 
 void check_key(const std::string& key) {
   if (key.empty() ||
@@ -214,36 +231,32 @@ std::string MetricsRegistry::serialize() const {
 
 std::optional<MetricsRegistry> MetricsRegistry::deserialize(
     std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string tok;
-  if (!(in >> tok) || tok != "m1") return std::nullopt;
+  TokenCursor in(text);
+  if (in.next() != "m1") return std::nullopt;
 
   MetricsRegistry out;
+  std::string key;
   std::uint64_t n = 0;
-  if (!read_u64(in, n)) return std::nullopt;
+  if (!in.u64(n)) return std::nullopt;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key;
     double value = 0.0;
-    if (!(in >> key) || !read_double_bits(in, value)) return std::nullopt;
+    if (!in.key(key) || !in.double_bits(value)) return std::nullopt;
     out.counters_[key] = value;
   }
-  if (!read_u64(in, n)) return std::nullopt;
+  if (!in.u64(n)) return std::nullopt;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key;
     double value = 0.0;
-    if (!(in >> key) || !read_double_bits(in, value)) return std::nullopt;
+    if (!in.key(key) || !in.double_bits(value)) return std::nullopt;
     out.gauges_[key] = value;
   }
-  if (!read_u64(in, n)) return std::nullopt;
+  if (!in.u64(n)) return std::nullopt;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key;
     Summary::State st;
     std::uint64_t reservoir_size = 0;
-    if (!(in >> key) || !read_u64(in, st.count) ||
-        !read_double_bits(in, st.mean) || !read_double_bits(in, st.m2) ||
-        !read_double_bits(in, st.min) || !read_double_bits(in, st.max) ||
-        !read_u64(in, st.seen_for_reservoir) ||
-        !read_u64(in, reservoir_size)) {
+    if (!in.key(key) || !in.u64(st.count) || !in.double_bits(st.mean) ||
+        !in.double_bits(st.m2) || !in.double_bits(st.min) ||
+        !in.double_bits(st.max) || !in.u64(st.seen_for_reservoir) ||
+        !in.u64(reservoir_size)) {
       return std::nullopt;
     }
     // A corrupt length must not drive a giant allocation; real reservoirs
@@ -252,13 +265,13 @@ std::optional<MetricsRegistry> MetricsRegistry::deserialize(
     st.reservoir.reserve(reservoir_size);
     for (std::uint64_t r = 0; r < reservoir_size; ++r) {
       double x = 0.0;
-      if (!read_double_bits(in, x)) return std::nullopt;
+      if (!in.double_bits(x)) return std::nullopt;
       st.reservoir.push_back(x);
     }
     out.summaries_[key] = Summary::from_state(std::move(st));
   }
   // Trailing garbage means the line was not produced by serialize().
-  if (in >> tok) return std::nullopt;
+  if (!in.next().empty()) return std::nullopt;
   return out;
 }
 

@@ -4,21 +4,29 @@
 // Snapshots must survive a disk round trip bit-for-bit — the digest
 // contract of the serve layer compares a re-warmed branch against serial
 // re-simulation, so one flipped mantissa bit is a divergence. Doubles
-// therefore travel as the hex of their raw bit pattern (the discipline
-// MetricsRegistry::serialize established: printf %.17g does not preserve
-// NaN payloads or distinguish every -0.0 path), integers as decimal
-// tokens, and byte strings length-prefixed so embedded spaces and
+// therefore travel as the hex of their raw bit pattern (printf %.17g does
+// not preserve NaN payloads or distinguish every -0.0 path), integers as
+// decimal tokens, and byte strings length-prefixed so embedded spaces and
 // newlines never confuse the tokenizer.
+//
+// One number codec serves every snapshot image — WireWriter / WireReader
+// here, MetricsRegistry::serialize/deserialize (embedded in every Network
+// snapshot) and the SnapshotStore file header: format_u64 / format_hex64
+// write, parse_u64 / parse_hex64 read. No token costs a heap allocation
+// of its own: formatting is std::to_chars plus a zero-padded hex loop
+// into a stack buffer, parsing is std::from_chars plus a hex loop over a
+// string_view. Only canonical tokens — exactly what the formatters emit —
+// are accepted: no sign, no leading whitespace or zeros, no 0x, no
+// uppercase hex, no overflow. Every accepted image therefore re-encodes
+// to the same bytes, and a mutated image cannot alias a different value.
 //
 // WireReader is fail-soft: any malformed token latches ok() to false and
 // every subsequent read returns a zero value, so decoders can run a whole
 // field list and check ok() once at the end — corrupt input must yield a
 // clean rejection, never UB or a throw from parsing.
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -29,11 +37,64 @@
 
 namespace iobt::sim {
 
+/// Longest token format_u64 writes (UINT64_MAX has 20 digits).
+inline constexpr std::size_t kMaxU64Chars = 20;
+
+/// Writes `v` as decimal at `out` (room for kMaxU64Chars); returns the end.
+inline char* format_u64(char* out, std::uint64_t v) {
+  return std::to_chars(out, out + kMaxU64Chars, v).ptr;
+}
+
+/// Writes the 16 zero-padded lowercase hex digits of `v` at `out`;
+/// returns the end.
+inline char* format_hex64(char* out, std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    out[i] = kDigits[v & 0xf];
+    v >>= 4;
+  }
+  return out + 16;
+}
+
+/// Parses a canonical decimal token (what format_u64 writes) into `v`.
+/// False — `v` untouched — on an empty token, a sign, whitespace, a
+/// leading zero, any non-digit, or a value past UINT64_MAX.
+inline bool parse_u64(std::string_view tok, std::uint64_t& v) {
+  if (tok.empty() || (tok[0] == '0' && tok.size() > 1)) return false;
+  const char* end = tok.data() + tok.size();
+  std::uint64_t x = 0;
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, x);
+  if (ec != std::errc() || ptr != end) return false;
+  v = x;
+  return true;
+}
+
+/// Parses exactly 16 lowercase hex digits (what format_hex64 writes).
+inline bool parse_hex64(std::string_view tok, std::uint64_t& v) {
+  if (tok.size() != 16) return false;
+  std::uint64_t x = 0;
+  for (const char c : tok) {
+    std::uint64_t d;
+    if (c >= '0' && c <= '9') {
+      d = static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      d = static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return false;
+    }
+    x = (x << 4) | d;
+  }
+  v = x;
+  return true;
+}
+
 class WireWriter {
  public:
   WireWriter& u64(std::uint64_t v) {
-    buf_ += std::to_string(v);
-    buf_ += ' ';
+    char tok[kMaxU64Chars + 1];
+    char* end = format_u64(tok, v);
+    *end++ = ' ';
+    buf_.append(tok, end);
     return *this;
   }
   /// Two's-complement round trip through the u64 token space.
@@ -43,9 +104,9 @@ class WireWriter {
   WireWriter& f64(double x) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &x, sizeof bits);
-    char tok[20];
-    std::snprintf(tok, sizeof tok, "%016" PRIx64 " ", bits);
-    buf_ += tok;
+    char tok[17];
+    format_hex64(tok, bits)[0] = ' ';
+    buf_.append(tok, sizeof tok);
     return *this;
   }
   /// Length-prefixed raw bytes (binary-safe: embedded separators are fine).
@@ -78,11 +139,8 @@ class WireReader {
 
   std::uint64_t u64() {
     std::string_view tok;
-    if (!next_token(tok)) return 0;
-    char* end = nullptr;
-    const std::string s(tok);
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size() || s.empty()) return fail_u64();
+    std::uint64_t v = 0;
+    if (!next_token(tok) || !parse_u64(tok, v)) return fail_u64();
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -93,22 +151,24 @@ class WireReader {
   }
   double f64() {
     std::string_view tok;
-    if (!next_token(tok) || tok.size() != 16) return static_cast<double>(fail_u64());
-    char* end = nullptr;
-    const std::string s(tok);
-    const std::uint64_t bits = std::strtoull(s.c_str(), &end, 16);
-    if (end != s.c_str() + s.size()) return static_cast<double>(fail_u64());
+    std::uint64_t bits = 0;
+    if (!next_token(tok) || !parse_hex64(tok, bits)) {
+      return static_cast<double>(fail_u64());
+    }
     double x = 0.0;
     std::memcpy(&x, &bits, sizeof x);
     return x;
   }
-  std::string bytes() {
+  std::string bytes() { return std::string(bytes_view()); }
+  /// bytes() without the copy: a view into the reader's input, valid as
+  /// long as that input is.
+  std::string_view bytes_view() {
     const std::uint64_t n = u64();
     if (!ok_ || n > remaining()) {
       fail_u64();
       return {};
     }
-    std::string s(in_.substr(pos_, static_cast<std::size_t>(n)));
+    const std::string_view s = in_.substr(pos_, static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     // Consume the trailing separator the writer always emits.
     if (pos_ >= in_.size() || in_[pos_] != ' ') {

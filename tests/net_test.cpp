@@ -1700,5 +1700,122 @@ TEST_F(WeightTwins, AddBuildingWhileDirtyKeepsWeightsExact) {
   expect_connectivity_matches("nudged after add_building");
 }
 
+// ----------------------------------------------- Link store lifecycle ----
+// The incremental edge store is stale at birth and after every reseed;
+// mutators skip their store edits while it is stale, and the first reader
+// seeds it with one full rebuild. Each test below drives an unread layered
+// network and its rebuild-mode twin through identical ops and then
+// bit-compares the first read: edges, weight bits and the epoch.
+
+/// A three-layer network (the dissem radios: ground 190 m, aerial 420 m,
+/// command 520 m) over 800 m, every fourth node a gateway, and its
+/// rebuild-mode twin. The constructor reads neither.
+struct LinkStoreTwins : ::testing::Test {
+  Simulator sim_inc, sim_reb;
+  Network inc{sim_inc, ChannelModel(2.0, 0.0), Rng(11)};
+  Network reb{sim_reb, ChannelModel(2.0, 0.0), Rng(11)};
+  Rng drive{0x5EED};
+
+  LinkStoreTwins() {
+    reb.set_incremental_connectivity_enabled(false);
+    static constexpr double kRange[] = {190, 420, 520};
+    for (int i = 0; i < 48; ++i) {
+      const auto layer = static_cast<LayerId>(i % 3);
+      const Vec2 p{drive.uniform(0, 800), drive.uniform(0, 800)};
+      const bool gateway = i % 4 == 0;
+      both([&](Network& n) {
+        const NodeId id = n.add_node(p, {.range_m = kRange[layer], .base_loss = 0.0}, layer);
+        if (gateway) n.set_gateway(id, true);
+      });
+    }
+  }
+  template <typename F>
+  void both(F f) {
+    f(inc);
+    f(reb);
+  }
+  NodeId pick() {
+    return static_cast<NodeId>(
+        drive.uniform_int(0, static_cast<std::int64_t>(inc.node_count()) - 1));
+  }
+  void expect_epochs_match(const char* what) {
+    EXPECT_EQ(inc.topology_epoch(), reb.topology_epoch()) << what;
+  }
+  void expect_first_read_matches(const char* what) {
+    expect_epochs_match(what);
+    expect_identical_topologies(inc.connectivity(), reb.connectivity(), what);
+  }
+};
+
+TEST_F(LinkStoreTwins, FirstConnectivityReadMatchesRebuild) {
+  expect_first_read_matches("first connectivity()");
+  EXPECT_GT(reb.connectivity().edge_count(), 0u);
+}
+
+TEST_F(LinkStoreTwins, FirstTopologyViewReadMatchesRebuild) {
+  expect_epochs_match("before the view");
+  const Topology want = reb.connectivity();
+  expect_identical_topologies(inc.topology_view(), want, "first topology_view()");
+}
+
+TEST_F(LinkStoreTwins, FirstRouteReadMatchesRebuild) {
+  // Routes read the store through cached_paths: reachability from a few
+  // sources over every destination must agree before anything else reads.
+  for (NodeId src = 0; src < 6; ++src) {
+    for (NodeId dst = 0; dst < inc.node_count(); ++dst) {
+      EXPECT_EQ(inc.route_exists(src, dst), reb.route_exists(src, dst))
+          << src << " -> " << dst;
+    }
+  }
+  expect_first_read_matches("after routes");
+}
+
+TEST_F(LinkStoreTwins, LivenessAndGatewayFlipsWhileStaleMatchRebuild) {
+  for (int k = 0; k < 40; ++k) {
+    const NodeId id = pick();
+    if (k % 2 == 0) {
+      both([&](Network& n) { n.set_node_up(id, !n.node_up(id)); });
+    } else {
+      // set_gateway still decides the epoch from its gateway scan while
+      // the store takes no edits.
+      both([&](Network& n) { n.set_gateway(id, !n.is_gateway(id)); });
+    }
+    expect_epochs_match("flip while stale");
+  }
+  const Vec2 late{drive.uniform(0, 800), drive.uniform(0, 800)};
+  both([&](Network& n) { n.add_node(late, {.range_m = 420, .base_loss = 0.0}, 1); });
+  expect_first_read_matches("after flips while stale");
+}
+
+TEST_F(LinkStoreTwins, BuildingWhileStaleMatchesRebuild) {
+  both([&](Network& n) { n.add_building({{380, 100}, {420, 700}}); });
+  both([&](Network& n) { n.set_gateway(1, true); });
+  expect_first_read_matches("after add_building while stale");
+  // A building after the first read marks the store stale again.
+  both([&](Network& n) { n.add_building({{100, 380}, {700, 420}}); });
+  both([&](Network& n) { n.set_node_up(5, false); });
+  expect_first_read_matches("after a second building");
+}
+
+TEST_F(LinkStoreTwins, MovesWhileStaleSeedTheStoreAndMatchRebuild) {
+  // The move patch reads the store, so the first move seeds it; the epoch
+  // of every move must agree, which it cannot if the patch ran over a
+  // store that was never seeded.
+  const std::uint64_t epoch0 = inc.topology_epoch();
+  for (int k = 0; k < 30; ++k) {
+    const NodeId id = pick();
+    const Vec2 p{drive.uniform(0, 800), drive.uniform(0, 800)};
+    both([&](Network& n) { n.set_position(id, p); });
+    expect_epochs_match("move");
+  }
+  EXPECT_GT(inc.topology_epoch(), epoch0);
+  expect_first_read_matches("after moves");
+}
+
+TEST_F(LinkStoreTwins, MemoryFootprintSeedsTheStore) {
+  EXPECT_GT(inc.memory_footprint().links, 0u);
+  expect_first_read_matches("after memory_footprint");
+}
+
 }  // namespace
 }  // namespace iobt::net

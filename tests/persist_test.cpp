@@ -12,12 +12,15 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dissem/scenario.h"
 #include "serve/serve.h"
 #include "serve/snapshot_store.h"
+#include "sim/hash.h"
+#include "sim/metrics.h"
 #include "sim/runner.h"
 #include "sim/wire.h"
 
@@ -125,6 +128,38 @@ TEST(RegistrySerialization, GoldenImageIsByteStableAcrossStacks) {
   const std::string b = prefix_wire_image(q);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+// The on-disk format itself, pinned: constants recorded from the codec
+// that wrote the first durable tiers. A codec change that alters a single
+// byte of an image — token spelling, padding, separators — fails here
+// even when both sides of every round trip still agree with each other.
+TEST(RegistrySerialization, GoldenImageBytesArePinned) {
+  const std::string wire = prefix_wire_image(tiny_query());
+  EXPECT_EQ(wire.size(), 11388u);
+  EXPECT_EQ(sim::StableHash("persist.golden").mix_str(wire).digest(), 10433546884040059962ULL);
+}
+
+TEST(RegistrySerialization, MetricsImageBytesArePinned) {
+  sim::MetricsRegistry m;
+  m.count("frames.delivered", 12345);
+  m.count("neg.zero", -0.0);
+  m.gauge("battery.v", 3.3000000000000003);
+  m.gauge("inf.gauge", std::numeric_limits<double>::infinity());
+  m.observe("lat", 0.25);
+  m.observe("lat", -1e308);
+  m.observe("lat", std::numeric_limits<double>::denorm_min());
+  // The summary's m2 overflows to +inf (the -1e308 sample); its bits
+  // travel verbatim like every other double.
+  const std::string image =
+      "m1 2 frames.delivered 40c81c8000000000 neg.zero 0000000000000000 "
+      "2 battery.v 400a666666666667 inf.gauge 7ff0000000000000 "
+      "1 lat 3 ffc7bbef5d3a60d6 7ff0000000000000 ffe1ccf385ebc8a0 "
+      "3fd0000000000000 3 3 3fd0000000000000 ffe1ccf385ebc8a0 0000000000000001";
+  EXPECT_EQ(m.serialize(), image);
+  const auto back = sim::MetricsRegistry::deserialize(image);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->digest(), m.digest());
 }
 
 TEST(RegistrySerialization, DecodeReencodesToIdenticalBytes) {
@@ -328,6 +363,99 @@ TEST(CampaignServiceDurability, CorruptDiskFilesFallBackToColdSimulation) {
   const serve::BatchResult healed = again.submit({q});
   EXPECT_EQ(healed.disk_hits, 1u);
   EXPECT_EQ(healed.results[0].outcome.digest, reference);
+}
+
+/// What one mixed batch did: its BatchResult counts, the lifetime
+/// CacheStats deltas it caused, and its answers.
+struct MixedBatchRun {
+  std::vector<std::size_t> counts;  // BatchResult, then CacheStats deltas
+  std::vector<std::uint64_t> digests;
+  std::vector<int> flags;  // per query: 1 cache_hit, 2 batch_dedup
+};
+
+/// One batch over every kind of prefix at once: a memory hit (A), two
+/// disk-resident prefixes (B, C), a corrupted file (D) and a fresh prefix
+/// (E), each followed later in the batch by a duplicate with another
+/// delta. The disk tier is prepared by an earlier service; A is put in
+/// the memory tier of the measured service by a batch of its own.
+MixedBatchRun run_mixed_batch(std::size_t workers) {
+  const std::string dir = scratch_dir("mixed_" + std::to_string(workers));
+  const auto q = [](std::uint64_t seed, dissem::AttackCampaign a, double k) {
+    return tiny_query(seed, a, k);
+  };
+  using AC = dissem::AttackCampaign;
+  const Query a = q(60, AC::kNone, 0.0), b = q(61, AC::kJamming, 0.5),
+              c = q(62, AC::kGatewayHunt, 0.7), d = q(63, AC::kCombined, 0.4),
+              e = q(64, AC::kRegionStrike, 0.6);
+  CampaignService::Options opts;
+  opts.workers = workers;
+  opts.snapshot_dir = dir;
+  {
+    CampaignService writer(opts);
+    EXPECT_EQ(writer.submit({b, c, d}).failures, 0u);
+  }
+  const std::string d_path =
+      dir + "/" + SnapshotStore::file_name(serve::prefix_hash(d));
+  {
+    std::ifstream in(d_path, std::ios::binary);
+    std::string all((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+    in.close();
+    all[all.size() / 3] ^= 0x20;
+    std::ofstream out(d_path, std::ios::binary | std::ios::trunc);
+    out << all;
+  }
+  CampaignService svc(opts);
+  EXPECT_EQ(svc.submit({a}).failures, 0u);
+
+  const auto again = [](Query x) {
+    x.delta.attack = dissem::AttackCampaign::kJamming;
+    x.delta.intensity = 0.9;
+    x.delta.salt = 5;
+    return x;
+  };
+  const std::vector<Query> batch = {d,        a,        b,        e,        c,
+                                    again(b), again(d), again(a), again(e), again(c)};
+  const CampaignService::CacheStats s0 = svc.cache_stats();
+  const serve::BatchResult res = svc.submit(batch);
+  const CampaignService::CacheStats s1 = svc.cache_stats();
+
+  MixedBatchRun run;
+  run.counts = {res.cache_hits,       res.batch_dedup,
+                res.disk_hits,        res.prefix_sims,
+                res.rejected,         res.failures,
+                s1.hits - s0.hits,    s1.misses - s0.misses,
+                s1.batch_dedup - s0.batch_dedup,
+                s1.disk_hits - s0.disk_hits,
+                s1.disk_rejects - s0.disk_rejects,
+                s1.disk_stores - s0.disk_stores};
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const serve::QueryResult& r = res.results[i];
+    EXPECT_TRUE(r.ok) << "workers=" << workers << " query=" << i << ": " << r.error;
+    EXPECT_EQ(r.outcome.digest, CampaignService::run_uncached(batch[i]).digest)
+        << "workers=" << workers << " query=" << i;
+    run.digests.push_back(r.outcome.digest);
+    run.flags.push_back((r.cache_hit ? 1 : 0) | (r.batch_dedup ? 2 : 0));
+  }
+  return run;
+}
+
+TEST(CampaignServiceDurability, MixedBatchAccountingIsWorkerCountInvariant) {
+  const MixedBatchRun serial = run_mixed_batch(0);
+  // cache_hits: A, B, C and their duplicates; batch_dedup: the duplicates
+  // of D and E; disk_hits: B, C; prefix_sims: D (rejected file), E (no
+  // file). CacheStats deltas: hits, misses, batch_dedup, disk_hits,
+  // disk_rejects (D), disk_stores (D rewritten, E).
+  const std::vector<std::size_t> want = {6, 2, 2, 2, 0, 0, 6, 2, 2, 2, 1, 2};
+  EXPECT_EQ(serial.counts, want);
+  const std::vector<int> want_flags = {0, 1, 1, 0, 1, 1, 2, 1, 2, 1};
+  EXPECT_EQ(serial.flags, want_flags);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    const MixedBatchRun run = run_mixed_batch(workers);
+    EXPECT_EQ(run.counts, serial.counts) << "workers=" << workers;
+    EXPECT_EQ(run.flags, serial.flags) << "workers=" << workers;
+    EXPECT_EQ(run.digests, serial.digests) << "workers=" << workers;
+  }
 }
 
 // ------------------------------------------------------ Journal durability ----
