@@ -8,27 +8,34 @@
 // grows with n, so expected degree stays ~10 and the ladder measures
 // scaling, not density drift) and times three things:
 //
-//   * broadcast fan-out, spatial grid on vs off (brute rungs stop at 16k —
-//     the O(n^2) columns would dominate the ladder's wall time past that);
-//   * full connectivity rebuilds, grid vs brute (same 16k brute ceiling);
+//   * broadcast fan-out: net::Network (spatial grid) against the
+//     brute-force reference of tests/net_reference.h (brute rungs stop at
+//     16k — the O(n^2) columns would dominate the ladder's wall time past
+//     that);
+//   * full connectivity rebuilds: production's seeding rebuild, timed as
+//     the first read of a fresh substrate, against the reference's O(n^2)
+//     pair scan (same 16k brute ceiling);
 //   * connectivity MAINTENANCE under churn — per round, ~1% of nodes move
-//     and the current topology is re-read via topology_view(). Rebuild
-//     mode pays a full O(n) scan per refresh; incremental mode patches the
-//     persistent edge store from the 3x3 neighborhood diff and the refresh
-//     is O(1). This is the metric the incremental store exists for.
+//     and the current topology is re-read via topology_view(). The edge
+//     store patches itself from the 3x3 neighborhood diff and the read is
+//     O(1); the baseline is one full rebuild per round (kChurnRounds x the
+//     seeding rebuild above, not counting the moves).
 //
 // Each rung also reports bytes/node from Network::memory_footprint() — the
 // structure-of-arrays slab accounting that must stay flat as n grows.
 //
 // The part the numbers cannot show — that neither the grid nor the
-// incremental store changes anything BUT wall time — is verified three
-// ways: per-rung edge-set + digest equality across {brute, grid} x
-// {rebuild, incremental} (brute legs up to 16k), post-churn edge-set
-// equality between incremental and rebuild substrates driven through an
-// identical move sequence, and a mobile routed-traffic scenario swept
-// over seeds on the ParallelRunner whose metric digests must be
-// bit-identical across all three substrate configs AND across worker
-// counts. Any mismatch exits nonzero. Emits BENCH_network.json.
+// incremental store changes anything BUT wall time — is verified per
+// rung: up to 16k, production's snapshot equals the reference's (edges,
+// order, weight bits) and production broadcasts leave the metric digest
+// reference broadcasts leave; at every rung, after churn, the maintained
+// store equals a fresh substrate's seeding rebuild over the final
+// positions (and, up to 16k, the reference), routed traffic over both
+// leaves one digest, and every move bumped the epoch exactly when the
+// reference predicts. A mobile routed-traffic scenario swept over seeds on
+// the ParallelRunner checks each tick's topology against the reference
+// and requires digests independent of the worker count. Any mismatch
+// exits nonzero. Emits BENCH_network.json.
 
 #include <cmath>
 #include <cstdio>
@@ -37,6 +44,7 @@
 #include "bench_util.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "net_reference.h"
 #include "sim/rng.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
@@ -45,6 +53,7 @@
 namespace {
 
 using namespace iobt;
+namespace ref = iobt::testing::net_reference;
 
 constexpr double kRangeM = 150.0;
 constexpr double kTargetDegree = 10.0;
@@ -57,6 +66,7 @@ constexpr std::size_t kMobilitySeeds = 6;
 constexpr int kMobilityTicks = 20;
 constexpr int kRouteSources = 4;
 constexpr int kRouteDests = 4;
+constexpr std::uint64_t kSeed = 7;
 
 /// Area side that keeps expected radio degree at kTargetDegree for n
 /// nodes: density = degree / (pi r^2), side = sqrt(n / density).
@@ -65,24 +75,28 @@ double side_for(std::size_t n) {
   return std::sqrt(static_cast<double>(n) / density);
 }
 
-/// One network instance: n nodes uniform in a density-normalized square.
-/// Identical seed => identical node placement across all substrate configs.
+/// The node positions of an n-node substrate: uniform in a
+/// density-normalized square, identical for identical seeds.
+std::vector<sim::Vec2> layout(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  const double side = side_for(n);
+  std::vector<sim::Vec2> out(n);
+  for (sim::Vec2& p : out) p = {rng.uniform(0, side), rng.uniform(0, side)};
+  return out;
+}
+
+/// One network instance over the given positions; its edge store is
+/// unread until the caller reads it.
 struct Substrate {
   sim::Simulator sim;
   net::Network net;
   std::size_t n;
 
-  Substrate(std::size_t nodes, std::uint64_t seed, bool grid, bool incremental)
-      : net(sim, net::ChannelModel(), sim::Rng(seed ^ 0xBADC0DEULL)), n(nodes) {
-    net.set_spatial_index_enabled(grid);
-    net.set_incremental_connectivity_enabled(incremental);
-    sim::Rng rng(seed);
-    const double side = side_for(n);
+  Substrate(const std::vector<sim::Vec2>& positions, std::uint64_t seed)
+      : net(sim, net::ChannelModel(), sim::Rng(seed ^ 0xBADC0DEULL)), n(positions.size()) {
     net::RadioProfile radio;
     radio.range_m = kRangeM;
-    for (std::size_t i = 0; i < n; ++i) {
-      net.add_node({rng.uniform(0, side), rng.uniform(0, side)}, radio);
-    }
+    for (const sim::Vec2 p : positions) net.add_node(p, radio);
   }
 };
 
@@ -94,69 +108,128 @@ net::Message ping() {
 }
 
 /// Times the broadcast issue loop only (candidate enumeration + frame
-/// scheduling — the part the grid accelerates); the delivery events are
-/// drained untimed afterwards so the digest covers the full outcome.
-double time_broadcasts(Substrate& s) {
+/// scheduling — the part the grid accelerates), through production or the
+/// reference; the delivery events are drained untimed afterwards so the
+/// digest covers the full outcome.
+double time_broadcasts(Substrate& s, bool brute) {
   bench::WallTimer t;
   for (int i = 0; i < kBroadcasts; ++i) {
-    s.net.broadcast(static_cast<net::NodeId>((static_cast<std::size_t>(i) * 7919) % s.n),
-                    ping());
+    const auto src = static_cast<net::NodeId>((static_cast<std::size_t>(i) * 7919) % s.n);
+    if (brute) {
+      ref::broadcast(s.net, src, ping());
+    } else {
+      s.net.broadcast(src, ping());
+    }
   }
   const double ms = t.ms();
   s.sim.run();
   return ms;
 }
 
-double time_connectivity(Substrate& s, std::size_t* edges) {
+/// kConnRebuilds reference snapshots; `*edges` gets the edge count.
+double time_reference_connectivity(const Substrate& s, std::size_t* edges) {
   bench::WallTimer t;
-  for (int i = 0; i < kConnRebuilds; ++i) {
-    const net::Topology topo = s.net.connectivity();
-    *edges = topo.edge_count();
-  }
+  for (int i = 0; i < kConnRebuilds; ++i) *edges = ref::connectivity(s.net).edge_count();
   return t.ms();
 }
 
-/// The churn loop the incremental store exists for: each round moves ~1%
-/// of the nodes, then re-reads the current topology (a route planner or
-/// analytics pass would do exactly this). Identical seed => identical move
-/// sequence across substrates, so the post-churn edge sets must match.
-double time_maintenance(Substrate& s, std::uint64_t seed, std::size_t* edges) {
+/// kConnRebuilds production full rebuilds, each the first read of a fresh
+/// substrate over `positions` (its grid memo cold, its store stale); the
+/// last rebuild's snapshot lands in `*seeded`.
+double time_seeding(const std::vector<sim::Vec2>& positions, net::Topology* seeded) {
+  double ms = 0.0;
+  for (int i = 0; i < kConnRebuilds; ++i) {
+    Substrate fresh(positions, kSeed);
+    bench::WallTimer t;
+    const net::Topology& view = fresh.net.topology_view();
+    ms += t.ms();
+    *seeded = view;
+  }
+  return ms;
+}
+
+struct Move {
+  net::NodeId id;
+  sim::Vec2 to;
+};
+
+/// The churn the incremental store exists for: kChurnRounds rounds, each
+/// moving ~1% of the nodes to uniform positions.
+std::vector<std::vector<Move>> churn_rounds(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed ^ 0xC0FFEEULL);
-  const double side = side_for(s.n);
-  const std::size_t movers = s.n < 100 ? 1 : s.n / 100;
-  bench::WallTimer t;
-  for (int round = 0; round < kChurnRounds; ++round) {
+  const double side = side_for(n);
+  const std::size_t movers = n < 100 ? 1 : n / 100;
+  std::vector<std::vector<Move>> rounds(kChurnRounds);
+  for (std::vector<Move>& round : rounds) {
     for (std::size_t m = 0; m < movers; ++m) {
-      const auto id = static_cast<net::NodeId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(s.n) - 1));
-      s.net.set_position(id, {rng.uniform(0, side), rng.uniform(0, side)});
+      const auto id = static_cast<net::NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      const double x = rng.uniform(0, side);
+      round.push_back({id, {x, rng.uniform(0, side)}});
     }
+  }
+  return rounds;
+}
+
+/// Each round applies its moves, then re-reads the current topology (a
+/// route planner or analytics pass would do exactly this).
+double time_maintenance(Substrate& s, const std::vector<std::vector<Move>>& rounds,
+                        std::size_t* edges) {
+  bench::WallTimer t;
+  for (const std::vector<Move>& round : rounds) {
+    for (const Move& m : round) s.net.set_position(m.id, m.to);
     *edges = s.net.topology_view().edge_count();
   }
   return t.ms();
 }
 
-bool same_edges(const net::Topology& a, const net::Topology& b) {
-  const auto ea = a.edges();
-  const auto eb = b.edges();
-  if (ea.size() != eb.size()) return false;
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    if (ea[i].a != eb[i].a || ea[i].b != eb[i].b || ea[i].weight != eb[i].weight)
-      return false;
+/// Replays `rounds` on a fresh substrate over `positions`, predicting each
+/// move's epoch bump before making it: from the grid's 3x3 blocks always,
+/// and with `brute` also by scanning every node, which the block
+/// prediction must then equal. False on any disagreement, with production
+/// or between the predictors. `*epoch` gets the predicted final epoch.
+bool epochs_as_predicted(const std::vector<sim::Vec2>& positions,
+                         const std::vector<std::vector<Move>>& rounds, bool brute,
+                         std::uint64_t* epoch) {
+  Substrate chk(positions, kSeed);
+  std::uint64_t predicted = chk.net.topology_epoch();
+  bool ok = true;
+  for (const std::vector<Move>& round : rounds) {
+    for (const Move& m : round) {
+      const bool bump = ref::move_changes_links_from_grid(chk.net, m.id, m.to);
+      if (brute) ok = ok && bump == ref::move_changes_links(chk.net, m.id, m.to);
+      if (bump) ++predicted;
+      chk.net.set_position(m.id, m.to);
+      ok = ok && chk.net.topology_epoch() == predicted;
+    }
   }
-  return true;
+  *epoch = predicted;
+  return ok;
+}
+
+/// Routed traffic from kRouteSources sources: its metric digest depends on
+/// every route, so on every edge and weight of the store it reads.
+std::uint64_t routed_digest(Substrate& s) {
+  for (int src = 0; src < kRouteSources; ++src) {
+    for (int d = 0; d < kRouteDests; ++d) {
+      s.net.route_and_send(static_cast<net::NodeId>((static_cast<std::size_t>(src) * 271 + 13) % s.n),
+                           static_cast<net::NodeId>((static_cast<std::size_t>(d) * 733 + 512) % s.n),
+                           ping());
+    }
+  }
+  s.sim.run();
+  return s.net.metrics().digest();
 }
 
 struct Rung {
   std::size_t n = 0;
-  bool brute_checked = false;  ///< brute legs run only up to kBruteCeiling
+  bool brute_checked = false;  ///< reference legs run only up to kBruteCeiling
   double bcast_brute_ms = 0, bcast_grid_ms = 0;
   double conn_brute_ms = 0, conn_grid_ms = 0;
   double maint_rebuild_ms = 0, maint_incremental_ms = 0;
   std::size_t edges = 0;
   std::size_t mem_bytes_per_node = 0;
-  bool identical = false;       ///< grid/brute x rebuild/incremental agree
-  bool incr_identical = false;  ///< incremental == rebuild, incl. post-churn
+  bool identical = false;       ///< production == reference before churn
+  bool incr_identical = false;  ///< maintained store == rebuild, epochs as predicted
 
   double bcast_speedup() const {
     return brute_checked ? bcast_brute_ms / bcast_grid_ms : 0.0;
@@ -171,51 +244,59 @@ Rung run_rung(std::size_t n) {
   Rung r;
   r.n = n;
   r.brute_checked = n <= kBruteCeiling;
-  Substrate reb(n, /*seed=*/7, /*grid=*/true, /*incremental=*/false);
-  Substrate inc(n, /*seed=*/7, /*grid=*/true, /*incremental=*/true);
+  const std::vector<sim::Vec2> start = layout(n, kSeed);
 
-  // Two passes per cell, best-of (first-touch page faults and allocator
-  // growth land in the first pass). Every substrate runs the identical
-  // operation sequence, so the digest checks are unaffected.
-  r.bcast_grid_ms = std::min(time_broadcasts(reb), time_broadcasts(reb));
-  time_broadcasts(inc);
-  time_broadcasts(inc);
-
-  std::size_t edges_grid = 0;
-  r.conn_grid_ms = std::min(time_connectivity(reb, &edges_grid),
-                            time_connectivity(reb, &edges_grid));
-  r.edges = edges_grid;
-
+  // Two passes per timed cell, best-of (first-touch page faults and
+  // allocator growth land in the first pass). Production and reference
+  // substrates run the identical operation sequence, so their digests
+  // must agree.
+  Substrate inc(start, kSeed);
+  r.bcast_grid_ms = std::min(time_broadcasts(inc, false), time_broadcasts(inc, false));
   r.identical = true;
   if (r.brute_checked) {
-    Substrate brute(n, /*seed=*/7, /*grid=*/false, /*incremental=*/false);
-    r.bcast_brute_ms = std::min(time_broadcasts(brute), time_broadcasts(brute));
+    Substrate brute(start, kSeed);
+    r.bcast_brute_ms = std::min(time_broadcasts(brute, true), time_broadcasts(brute, true));
     std::size_t edges_brute = 0;
-    r.conn_brute_ms = std::min(time_connectivity(brute, &edges_brute),
-                               time_connectivity(brute, &edges_brute));
-    // Equivalence: same edge set (count + per-edge endpoints/weights) and
-    // same delivery metrics. Digest equality is the strong check — it
-    // covers frame counts, drop reasons, and latency observations.
-    r.identical = edges_brute == edges_grid &&
-                  same_edges(brute.net.connectivity(), reb.net.connectivity()) &&
-                  brute.net.metrics().digest() == reb.net.metrics().digest();
+    r.conn_brute_ms = std::min(time_reference_connectivity(brute, &edges_brute),
+                               time_reference_connectivity(brute, &edges_brute));
+    // Same edge set (endpoints, order, weight bits) and same delivery
+    // metrics. Digest equality is the strong check — it covers frame
+    // counts, drop reasons, and latency observations.
+    const net::Topology& store = inc.net.topology_view();
+    r.identical = store.edge_count() == edges_brute &&
+                  ref::same_topology(store, ref::connectivity(brute.net)) &&
+                  inc.net.metrics().digest() == brute.net.metrics().digest();
   }
 
-  // The incremental store must agree with the rebuild path before churn...
-  r.incr_identical = same_edges(inc.net.topology_view(), reb.net.topology_view()) &&
-                     inc.net.metrics().digest() == reb.net.metrics().digest();
+  net::Topology seeded;
+  r.conn_grid_ms = std::min(time_seeding(start, &seeded), time_seeding(start, &seeded));
+  r.edges = seeded.edge_count();
+  r.maint_rebuild_ms = r.conn_grid_ms / kConnRebuilds * kChurnRounds;
 
-  // ...and after: both substrates replay the identical move sequence, the
-  // rebuild leg re-scanning per refresh, the incremental leg patching.
-  std::size_t edges_reb_churn = 0, edges_inc_churn = 0;
-  r.maint_rebuild_ms = time_maintenance(reb, /*seed=*/7, &edges_reb_churn);
-  r.maint_incremental_ms = time_maintenance(inc, /*seed=*/7, &edges_inc_churn);
-  r.incr_identical = r.incr_identical && edges_reb_churn == edges_inc_churn &&
-                     same_edges(inc.net.topology_view(), reb.net.topology_view()) &&
-                     inc.net.topology_epoch() == reb.net.topology_epoch();
-
+  // The store is seeded (by its first read) before the timed churn, as a
+  // long-running world's would be.
+  r.incr_identical = ref::same_topology(inc.net.topology_view(), seeded);
+  const std::vector<std::vector<Move>> rounds = churn_rounds(n, kSeed);
+  std::size_t edges_churned = 0;
+  r.maint_incremental_ms = time_maintenance(inc, rounds, &edges_churned);
   const std::size_t total = inc.net.memory_footprint().total();
   r.mem_bytes_per_node = total / (n == 0 ? 1 : n);
+
+  std::uint64_t predicted_epoch = 0;
+  r.incr_identical = r.incr_identical &&
+                     epochs_as_predicted(start, rounds, r.brute_checked, &predicted_epoch) &&
+                     inc.net.topology_epoch() == predicted_epoch;
+  // A twin restored from a snapshot of the churned substrate never
+  // maintained a store: its first read is a full rebuild over the final
+  // positions, which the patched store must equal. Routed traffic from
+  // the identical state must leave identical digests on both.
+  Substrate twin(start, kSeed);
+  twin.sim.checkpoint().restore(inc.sim.checkpoint().save());
+  const net::Topology& store = inc.net.topology_view();
+  r.incr_identical = r.incr_identical && store.edge_count() == edges_churned &&
+                     ref::same_topology(store, twin.net.topology_view()) &&
+                     (!r.brute_checked || ref::same_topology(store, ref::connectivity(inc.net))) &&
+                     routed_digest(inc) == routed_digest(twin);
   return r;
 }
 
@@ -223,20 +304,21 @@ Rung run_rung(std::size_t n) {
 
 struct MobilityOutcome {
   std::uint64_t digest = 0;
-  /// Cumulative route_and_send issue time. With incremental maintenance
-  /// the first route rebuild after a tick also re-derives the weights of
-  /// the moved nodes' links, so this alone overstates the routing cost
-  /// and hides the saving in the moves: tick_ms is the total.
+  /// Cumulative route_and_send issue time. The first route rebuild after a
+  /// tick also re-derives the weights of the moved nodes' links, so this
+  /// alone overstates the routing cost and hides the saving in the moves:
+  /// tick_ms is the total.
   double route_ms = 0.0;
   double tick_ms = 0.0;  ///< cumulative moves + route issue time
   std::uint64_t routed = 0;
+  /// With the reference check on: every tick's topology equalled the
+  /// reference snapshot. Vacuously true with it off.
+  bool topology_ok = true;
 };
 
-MobilityOutcome mobility_scenario(std::uint64_t seed, bool grid, bool incremental) {
+MobilityOutcome mobility_scenario(std::uint64_t seed, bool check_reference) {
   sim::Simulator sim;
   net::Network net(sim, net::ChannelModel(), sim::Rng(seed ^ 0x5EEDULL));
-  net.set_spatial_index_enabled(grid);
-  net.set_incremental_connectivity_enabled(incremental);
   sim::Rng rng(seed);
   const double side = side_for(kMobilityNodes);
   const sim::Rect area{{0, 0}, {side, side}};
@@ -271,6 +353,11 @@ MobilityOutcome mobility_scenario(std::uint64_t seed, bool grid, bool incrementa
     out.route_ms += t.ms();
     out.tick_ms += tick_timer.ms();
     sim.run();
+    // Untimed, after the tick's routes have read (and refreshed) the store.
+    if (check_reference) {
+      out.topology_ok = out.topology_ok &&
+                        ref::same_topology(net.topology_view(), ref::connectivity(net));
+    }
   }
   out.digest = net.metrics().digest();
   return out;
@@ -307,63 +394,38 @@ int main(int argc, char** argv) {
                r.incr_identical ? "yes" : "NO");
   }
 
-  // Mobile routed traffic: per-seed digests must match across all three
-  // substrate configs, and the grid sweep's digests must not depend on the
-  // worker count.
+  // Mobile routed traffic: the serial sweep checks every tick's topology
+  // against the reference, and its digests must not depend on the worker
+  // count.
   const auto seeds = sim::ParallelRunner::seed_range(100, kMobilitySeeds);
-  const std::function<MobilityOutcome(sim::ReplicationContext&)> grid_body =
-      [](sim::ReplicationContext& ctx) { return mobility_scenario(ctx.seed, true, false); };
-  const std::function<MobilityOutcome(sim::ReplicationContext&)> brute_body =
-      [](sim::ReplicationContext& ctx) { return mobility_scenario(ctx.seed, false, false); };
-  const std::function<MobilityOutcome(sim::ReplicationContext&)> incr_body =
-      [](sim::ReplicationContext& ctx) { return mobility_scenario(ctx.seed, true, true); };
+  const auto serial = sim::ParallelRunner(1).run<MobilityOutcome>(
+      seeds, [](sim::ReplicationContext& ctx) { return mobility_scenario(ctx.seed, true); });
+  const auto pool = sim::ParallelRunner(bench::bench_workers())
+                        .run<MobilityOutcome>(seeds, [](sim::ReplicationContext& ctx) {
+                          return mobility_scenario(ctx.seed, false);
+                        });
 
-  const auto grid_serial = sim::ParallelRunner(1).run<MobilityOutcome>(seeds, grid_body);
-  const auto grid_pool =
-      sim::ParallelRunner(bench::bench_workers()).run<MobilityOutcome>(seeds, grid_body);
-  const auto brute_serial = sim::ParallelRunner(1).run<MobilityOutcome>(seeds, brute_body);
-  const auto incr_serial = sim::ParallelRunner(1).run<MobilityOutcome>(seeds, incr_body);
-
-  bool mobility_identical = grid_serial.failures == 0 && grid_pool.failures == 0 &&
-                            brute_serial.failures == 0 && incr_serial.failures == 0;
+  bool topologies_ok = serial.failures == 0;
+  bool digests_ok = serial.failures == 0 && pool.failures == 0;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    mobility_identical =
-        mobility_identical &&
-        grid_serial.replications[i].payload.digest ==
-            brute_serial.replications[i].payload.digest &&
-        grid_serial.replications[i].payload.digest ==
-            grid_pool.replications[i].payload.digest &&
-        grid_serial.replications[i].payload.digest ==
-            incr_serial.replications[i].payload.digest &&
-        grid_serial.replications[i].payload.routed ==
-            brute_serial.replications[i].payload.routed &&
-        grid_serial.replications[i].payload.routed ==
-            incr_serial.replications[i].payload.routed;
+    const MobilityOutcome& a = serial.replications[i].payload;
+    const MobilityOutcome& b = pool.replications[i].payload;
+    topologies_ok = topologies_ok && a.topology_ok;
+    digests_ok = digests_ok && a.digest == b.digest && a.routed == b.routed;
   }
+  const bool mobility_identical = topologies_ok && digests_ok;
   identical = identical && mobility_identical;
 
-  const auto route_ms = [](const MobilityOutcome& o) { return o.route_ms; };
-  const auto grid_route = grid_serial.stats(route_ms);
-  const auto brute_route = brute_serial.stats(route_ms);
-  const auto incr_route = incr_serial.stats(route_ms);
-  const auto tick_ms = [](const MobilityOutcome& o) { return o.tick_ms; };
-  const auto grid_tick = grid_serial.stats(tick_ms);
-  const auto brute_tick = brute_serial.stats(tick_ms);
-  const auto incr_tick = incr_serial.stats(tick_ms);
+  const auto route = serial.stats([](const MobilityOutcome& o) { return o.route_ms; });
+  const auto tick = serial.stats([](const MobilityOutcome& o) { return o.tick_ms; });
   bench::row("");
   bench::row("mobility (n=%zu, %d ticks, %zu seeds): time/replication", kMobilityNodes,
              kMobilityTicks, kMobilitySeeds);
-  bench::row("  routed-send issue:  grid+rebuild: %s ms   brute: %s ms   "
-             "grid+incremental: %s ms",
-             bench::pm(grid_route, 2).c_str(), bench::pm(brute_route, 2).c_str(),
-             bench::pm(incr_route, 2).c_str());
-  bench::row("  moves + routes:     grid+rebuild: %s ms   brute: %s ms   "
-             "grid+incremental: %s ms",
-             bench::pm(grid_tick, 2).c_str(), bench::pm(brute_tick, 2).c_str(),
-             bench::pm(incr_tick, 2).c_str());
-  bench::row("  digests %s",
-             mobility_identical ? "identical (brute==grid==incremental, 1==pool workers)"
-                                : "MISMATCH");
+  bench::row("  routed-send issue: %s ms   moves + routes: %s ms",
+             bench::pm(route, 2).c_str(), bench::pm(tick, 2).c_str());
+  bench::row("  topologies %s, digests %s",
+             topologies_ok ? "== reference every tick" : "DIFFER from reference",
+             digests_ok ? "identical (1 == pool workers)" : "MISMATCH");
 
   std::FILE* f = std::fopen("BENCH_network.json", "w");
   if (f) {
@@ -394,16 +456,17 @@ int main(int argc, char** argv) {
                    i + 1 < rungs.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
+    // The grid+rebuild and brute mobility bodies are gone (one production
+    // path); their keys stay, null, so the schema does not change.
     std::fprintf(f,
                  "  \"mobility\": {\"n\": %zu, \"ticks\": %d, \"seeds\": %zu, "
-                 "\"route_ms_grid_mean\": %.3f, \"route_ms_brute_mean\": %.3f, "
+                 "\"route_ms_grid_mean\": null, \"route_ms_brute_mean\": null, "
                  "\"route_ms_incremental_mean\": %.3f, "
-                 "\"tick_ms_grid_mean\": %.3f, \"tick_ms_brute_mean\": %.3f, "
+                 "\"tick_ms_grid_mean\": null, \"tick_ms_brute_mean\": null, "
                  "\"tick_ms_incremental_mean\": %.3f, "
                  "\"identical\": %s},\n",
-                 kMobilityNodes, kMobilityTicks, kMobilitySeeds, grid_route.mean,
-                 brute_route.mean, incr_route.mean, grid_tick.mean, brute_tick.mean,
-                 incr_tick.mean, mobility_identical ? "true" : "false");
+                 kMobilityNodes, kMobilityTicks, kMobilitySeeds, route.mean, tick.mean,
+                 mobility_identical ? "true" : "false");
     std::fprintf(f, "  \"identical\": %s\n}\n", identical ? "true" : "false");
     std::fclose(f);
     bench::row("");
@@ -411,7 +474,7 @@ int main(int argc, char** argv) {
   }
 
   if (!identical) {
-    bench::row("DETERMINISM VIOLATION: substrate configurations disagree");
+    bench::row("DETERMINISM VIOLATION: production and reference disagree");
     return 1;
   }
   return 0;

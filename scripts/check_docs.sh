@@ -2,9 +2,10 @@
 # Docs-vs-tree consistency gate.
 #
 # The docs (README/DESIGN/EXPERIMENTS/ROADMAP) name concrete artifacts:
-# bench binaries, source files, CLI flags. Those references rot silently
-# when code moves, so CI runs this script and fails the build if any doc
-# references a bench target, file path, or flag that no longer exists.
+# bench binaries, source files, CLI flags, class members. Those references
+# rot silently when code moves, so CI runs this script and fails the build
+# if any doc references a bench target, file path, flag, or member that no
+# longer exists.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -99,6 +100,18 @@ for tgt in $(grep -oE 'iobt_bench\([a-z0-9_]+\)' bench/CMakeLists.txt |
   done
   [[ $cited -eq 1 ]] ||
     err "bench target '$tgt' (bench/CMakeLists.txt) is not cited by any doc"
+done
+
+# 7. Every `Class::member` token in README.md and DESIGN.md must name a
+#    member that still occurs in src/ — a doc describing a deleted API
+#    (a removed setter, a retired helper) misleads every reader. ROADMAP
+#    and EXPERIMENTS are exempt: they record history, and cite members
+#    that earlier changes deleted on purpose.
+for doc in README.md DESIGN.md; do
+  for tok in $(grep -oE '\b[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' "$doc" | sort -u); do
+    grep -rqw -- "${tok#*::}" src/ ||
+      err "$doc references '$tok' but no src/ file mentions '${tok#*::}'"
+  done
 done
 
 if [[ $fail -ne 0 ]]; then

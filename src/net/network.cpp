@@ -98,13 +98,10 @@ void Network::set_position(NodeId id, sim::Vec2 p) {
     positions_[id] = p;
     return;
   }
-  // Incremental mode patches the edge store and learns whether any link
-  // appeared/vanished as a byproduct; rebuild mode only answers the
-  // question. Both run BEFORE the slab position and grid move: the patch
-  // range-tests against the old slab, the rebuild check needs the 3x3
-  // neighborhood of `from` to still hold the node's old candidates.
-  const bool changed = use_incremental_ ? patch_links_for_move(id, p)
-                                        : neighbor_set_changed(id, from, p);
+  // The patch learns whether any link appeared/vanished as a byproduct.
+  // It runs BEFORE the slab position and grid move: it range-tests
+  // against the old slab.
+  const bool changed = patch_links_for_move(id, p);
   positions_[id] = p;
   grid_of(id).move(id, from, p);
   // Region-scoped invalidation: a move that gains or loses no link leaves
@@ -134,9 +131,9 @@ void Network::set_gateway(NodeId id, bool on) {
     // Affected links are exactly the cross-layer links to other live
     // in-range gateways: same-layer links ignore the flag, and a non-
     // gateway peer blocks the bridge regardless. Candidates come from the
-    // gateway list in every mode, so the changed/unchanged answer — and
-    // with it the epoch — is identical in every mode, and is computed even
-    // while the edge store is stale and takes no edits.
+    // gateway list, so the changed/unchanged answer — and with it the
+    // epoch — is computed even while the edge store is stale and takes no
+    // edits.
     const sim::Vec2 p = positions_[id];
     const RadioProfile& pr = profiles_[id];
     for (const NodeId other : gateways_) {
@@ -185,32 +182,6 @@ void Network::sorted_candidates(NodeId id, sim::Vec2 p,
   std::inplace_merge(out.begin(), out.begin() + same_layer, out.end());
 }
 
-bool Network::neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) const {
-  const RadioProfile& pr = profiles_[id];
-  const auto differs = [&](NodeId other) {
-    return channel_.in_range(from, pr, positions_[other], profiles_[other]) !=
-           channel_.in_range(to, pr, positions_[other], profiles_[other]);
-  };
-  if (!use_grid_) {
-    for (NodeId other = 0; other < node_count(); ++other) {
-      if (other == id || !up_[other] || !link_allowed(id, other)) continue;
-      if (differs(other)) return true;
-    }
-    return false;
-  }
-  // Any node whose membership differs is in range of `from` or of `to`, so
-  // the union of the two 3x3 neighborhoods of the layer grid, plus the
-  // gateway peers, covers all candidates. Every candidate passes
-  // link_allowed by construction.
-  scratch_.clear();
-  grid_of(id).neighborhood_union(from, to, scratch_);
-  append_gateway_peers(id, scratch_);
-  for (const NodeId other : scratch_) {
-    if (other != id && differs(other)) return true;
-  }
-  return false;
-}
-
 bool Network::patch_links_for_move(NodeId id, sim::Vec2 to) {
   ensure_links();
   if (++link_stamp_ == 0) {
@@ -233,9 +204,8 @@ bool Network::patch_links_for_move(NodeId id, sim::Vec2 to) {
   for (const NodeId other : scratch_) links_.remove_edge(id, other);
   bool changed = !scratch_.empty();
   // Additions: any new peer lies in the 3x3 block of `to` in the layer
-  // grid (covering invariant) or among the gateway peers. The grids index
-  // every live node regardless of use_grid_, and add_edge_sorted is
-  // order-independent, so candidates need no sort.
+  // grid (covering invariant) or among the gateway peers. add_edge_sorted
+  // is order-independent, so candidates need no sort.
   scratch_.clear();
   grid_of(id).neighborhood(to, scratch_);
   append_gateway_peers(id, scratch_);
@@ -289,16 +259,10 @@ void Network::detach_links(NodeId id) {
 
 std::vector<NodeId> Network::nodes_near(sim::Vec2 p, double radius) const {
   std::vector<NodeId> out;
-  if (use_grid_) {
-    // Each live id sits in exactly one layer grid: the union is
-    // duplicate-free.
-    for (const LayerGrid& lg : layer_grids_) lg.grid.near(p, radius, out);
-    std::sort(out.begin(), out.end());
-  } else {
-    for (NodeId id = 0; id < node_count(); ++id) {
-      if (up_[id]) out.push_back(id);
-    }
-  }
+  // Each live id sits in exactly one layer grid: the union is
+  // duplicate-free.
+  for (const LayerGrid& lg : layer_grids_) lg.grid.near(p, radius, out);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -447,33 +411,23 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
     Message copy = msg;
     if (transmit(src, other, std::move(copy), nullptr)) ++put_on_air;
   };
-  if (use_grid_) {
-    // The layer grid's 3x3 neighborhood plus the gateway peers covers
-    // every receiver. Candidates are offered in ascending NodeId order —
-    // the brute-force scan order — so the per-receiver loss draws consume
-    // the RNG stream identically and delivery traces stay bit-identical.
-    // Copied into scratch_ because drop/transmit hooks run synchronously
-    // inside offer() and must not be able to invalidate the memo mid-walk.
-    sorted_candidates(src, sp, scratch_);
-    for (const NodeId other : scratch_) offer(other);
-  } else {
-    for (NodeId other = 0; other < node_count(); ++other) offer(other);
-  }
+  // The layer grid's 3x3 neighborhood plus the gateway peers covers every
+  // receiver. Candidates are offered in ascending NodeId order — the order
+  // of an exhaustive scan — so the per-receiver loss draws consume the RNG
+  // stream in a fixed order. Copied into scratch_ because drop/transmit
+  // hooks run synchronously inside offer() and must not be able to
+  // invalidate the memo mid-walk.
+  sorted_candidates(src, sp, scratch_);
+  for (const NodeId other : scratch_) offer(other);
   return put_on_air;
 }
 
 const ShortestPaths& Network::cached_paths(NodeId src) {
   RouteCacheEntry& entry = route_cache_.at(src);
   if (entry.epoch != topology_epoch_) {
-    // Incremental mode runs Dijkstra straight over the live edge store; the
-    // rebuild baseline pays a full connectivity reconstruction per (source,
-    // epoch) — the cost the store exists to delete.
-    if (use_incremental_) {
-      refresh_weights();
-      entry.paths = links_.shortest_paths(src);
-    } else {
-      entry.paths = connectivity().shortest_paths(src);
-    }
+    // Dijkstra runs straight over the live edge store.
+    refresh_weights();
+    entry.paths = links_.shortest_paths(src);
     entry.epoch = topology_epoch_;
   }
   return entry.paths;
@@ -516,26 +470,13 @@ bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
 }
 
 Topology Network::connectivity() const {
-  if (!use_incremental_) return full_connectivity();
   refresh_weights();
   return links_;
 }
 
 const Topology& Network::topology_view() const {
-  if (!use_incremental_) {
-    view_scratch_ = full_connectivity();
-    return view_scratch_;
-  }
   refresh_weights();
   return links_;
-}
-
-void Network::set_incremental_connectivity_enabled(bool on) {
-  if (use_incremental_ == on) return;
-  use_incremental_ = on;
-  // Enabling mid-run leaves the store to be seeded by its first reader;
-  // disabling releases it (the rebuild paths never read it).
-  reseed_links();
 }
 
 void Network::reseed_links() {
@@ -548,7 +489,7 @@ void Network::reseed_links() {
 }
 
 void Network::ensure_links() const {
-  if (!links_stale_ || !use_incremental_) return;
+  if (!links_stale_) return;
   links_ = full_connectivity();
   link_mark_.assign(node_count(), 0);
   link_stamp_ = 0;
@@ -557,51 +498,33 @@ void Network::ensure_links() const {
 }
 
 Topology Network::full_connectivity() const {
-  // Edges are collected into a flat scratch list (reused across snapshots,
-  // so rebuilds allocate nothing once warm) and the Topology is built in
-  // one bulk pass with exact-size adjacency reserves. The list order is
-  // the brute-force edge order (a ascending, then b > a ascending), so
-  // the adjacency lists — and every tie-break downstream in Dijkstra —
-  // are bit-identical between the grid, O(n^2), and incremental paths
-  // (the store keeps its lists id-sorted for the same reason).
-  edge_scratch_.clear();
-  if (use_grid_) {
-    // Grid neighborhoods via the per-cell sorted memo: all nodes sharing a
-    // cell share one gathered + sorted candidate list, and the memo
-    // carries over to later snapshots while membership is unchanged. A
-    // gateway's list is merged with its cross-layer peers.
-    std::vector<NodeId> merged;
-    for (NodeId a = 0; a < node_count(); ++a) {
-      if (!up_[a]) continue;
-      const std::vector<NodeId>* candidates = &merged;
-      if (gateway_[a]) {
-        sorted_candidates(a, positions_[a], merged);
-      } else {
-        candidates = &grid_of(a).neighborhood_sorted(positions_[a]);
-      }
-      for (const NodeId b : *candidates) {
-        if (b <= a) continue;
-        if (channel_.in_range(positions_[a], profiles_[a], positions_[b],
-                              profiles_[b])) {
-          edge_scratch_.push_back(
-              {a, b, sim::distance(positions_[a], positions_[b])});
-        }
-      }
+  // Edges are collected into a flat list and the Topology is built in one
+  // bulk pass with exact-size adjacency reserves. The list order is that
+  // of an exhaustive pair scan (a ascending, then b > a ascending), so the
+  // adjacency lists — and every tie-break downstream in Dijkstra — match
+  // the id-sorted lists the store keeps under patching.
+  //
+  // Grid neighborhoods come from the per-cell sorted memo: all nodes
+  // sharing a cell share one gathered + sorted candidate list. A gateway's
+  // list is merged with its cross-layer peers.
+  std::vector<Edge> edges;
+  std::vector<NodeId> merged;
+  for (NodeId a = 0; a < node_count(); ++a) {
+    if (!up_[a]) continue;
+    const std::vector<NodeId>* candidates = &merged;
+    if (gateway_[a]) {
+      sorted_candidates(a, positions_[a], merged);
+    } else {
+      candidates = &grid_of(a).neighborhood_sorted(positions_[a]);
     }
-  } else {
-    for (NodeId a = 0; a < node_count(); ++a) {
-      if (!up_[a]) continue;
-      for (NodeId b = a + 1; b < node_count(); ++b) {
-        if (!up_[b] || !link_allowed(a, b)) continue;
-        if (channel_.in_range(positions_[a], profiles_[a], positions_[b],
-                              profiles_[b])) {
-          edge_scratch_.push_back(
-              {a, b, sim::distance(positions_[a], positions_[b])});
-        }
+    for (const NodeId b : *candidates) {
+      if (b <= a) continue;
+      if (channel_.in_range(positions_[a], profiles_[a], positions_[b], profiles_[b])) {
+        edges.push_back({a, b, sim::distance(positions_[a], positions_[b])});
       }
     }
   }
-  return Topology(node_count(), edge_scratch_);
+  return Topology(node_count(), edges);
 }
 
 void Network::rebuild_spatial_index() {

@@ -65,10 +65,10 @@ class Network : public sim::SerializableCheckpointable {
   std::size_t node_count() const { return positions_.size(); }
 
   void set_handler(NodeId id, Handler h);
-  /// Moves a node. With incremental maintenance on, the edge store gains
-  /// and loses exactly the links that changed; the weights of the links
-  /// the node keeps are left stale and re-derived on the next read of the
-  /// store (connectivity(), topology_view(), a route rebuild).
+  /// Moves a node. The edge store gains and loses exactly the links that
+  /// changed; the weights of the links the node keeps are left stale and
+  /// re-derived on the next read of the store (connectivity(),
+  /// topology_view(), a route rebuild).
   void set_position(NodeId id, sim::Vec2 p);
   sim::Vec2 position(NodeId id) const { return positions_.at(id); }
   const RadioProfile& profile(NodeId id) const { return profiles_.at(id); }
@@ -76,17 +76,16 @@ class Network : public sim::SerializableCheckpointable {
   // --- Layers -------------------------------------------------------------
   // Links form only within a layer, except between two gateway nodes,
   // which bridge any pair of layers (explicit inter-layer edges). The
-  // predicate is applied uniformly by transmit/broadcast, the incremental
-  // edge store, and every connectivity rebuild, so all modes stay
-  // digest-identical.
+  // predicate is applied uniformly by transmit/broadcast, the edge store
+  // and its seeding rebuild.
 
   LayerId layer(NodeId id) const { return layers_.at(id); }
   bool is_gateway(NodeId id) const { return gateway_.at(id) != 0; }
   /// Promotes/demotes a node as an inter-layer gateway. Affected links are
   /// exactly the cross-layer links to other live in-range gateways; the
   /// topology epoch is bumped only if at least one such link appeared or
-  /// vanished (a flip with no cross-layer peer in range changes nothing —
-  /// mode-identically, so flat-network digests are unaffected).
+  /// vanished (a flip with no cross-layer peer in range changes nothing,
+  /// so flat-network digests are unaffected).
   void set_gateway(NodeId id, bool on);
 
   /// Takes a node offline: it neither sends, receives, nor forwards.
@@ -118,52 +117,26 @@ class Network : public sim::SerializableCheckpointable {
   // --- Introspection ----------------------------------------------------
 
   /// Snapshot of the current connectivity graph among live nodes (edge
-  /// weight = distance). With incremental maintenance on (the default)
-  /// this first re-derives the weights of the edges of nodes moved since
-  /// the last read, then copies the persistent edge store — O(edges), no
-  /// node scan; with it off the graph is rebuilt from grid neighborhoods
-  /// (O(n * density)) or the O(n^2) brute scan per the spatial-index
-  /// flag. All paths produce bit-identical topologies. Like every other
+  /// weight = distance): the persistent edge store, after re-deriving the
+  /// weights of the edges of nodes moved since the last read — O(edges),
+  /// no node scan. The store is patched by add_node / set_position /
+  /// set_node_up / set_gateway with exactly the edges they add or cut, and
+  /// seeded by one full rebuild from grid neighborhoods on its first read
+  /// (at birth, after a restore, after add_building). Like every other
   /// read of the store it may write the weights, so it is not safe to
   /// call concurrently on one Network.
   Topology connectivity() const;
 
   /// Borrowed view of the current connectivity graph, valid until the next
-  /// Network mutation. With incremental maintenance on this is a reference
-  /// to the live edge store after the same moved-node weight refresh as
-  /// connectivity() — no copy, no scan; with it off every call rebuilds
-  /// into an internal scratch graph (the full-rebuild baseline cost, kept
-  /// honest for the bench).
+  /// Network mutation: a reference to the live edge store after the same
+  /// moved-node weight refresh as connectivity() — no copy, no scan.
   const Topology& topology_view() const;
 
-  /// Enables/disables the uniform-grid spatial index (default: enabled).
-  /// The grid is maintained either way; the flag selects how geometric
-  /// queries (broadcast fan-out, connectivity rebuilds, nodes_near,
-  /// set_position relationship checks) enumerate candidates. Observable
-  /// behavior — topologies, delivery traces, metric digests — is
-  /// bit-identical in both modes; only wall time differs. The brute-force
-  /// mode exists as the equivalence/bench baseline.
-  void set_spatial_index_enabled(bool on) { use_grid_ = on; }
-  bool spatial_index_enabled() const { return use_grid_; }
   /// The spatial index of one layer: its live nodes, bucketed at a cell
   /// size >= the longest radio range ever registered in that layer.
   const SpatialGrid& spatial_grid(LayerId layer) const {
     return layer_grids_.at(layer).grid;
   }
-
-  /// Enables/disables incremental connectivity maintenance (default:
-  /// enabled). When on, add_node / set_position / set_node_up patch a
-  /// persistent edge store with exactly the edges they add or cut, so
-  /// connectivity views and route rebuilds never re-scan all N nodes.
-  /// The store is seeded by one full rebuild on its first read (at birth,
-  /// after a restore, after add_building, after toggling on).
-  /// When off, every connectivity() call rebuilds
-  /// from scratch — the full-rebuild baseline, kept alive for
-  /// digest-equivalence testing (same bar as the grid-vs-brute contract).
-  /// Observable behavior — topologies, epochs, routes, digests — is
-  /// bit-identical in both modes; only wall time differs.
-  void set_incremental_connectivity_enabled(bool on);
-  bool incremental_connectivity_enabled() const { return use_incremental_; }
 
   /// Monotone counter bumped whenever the connectivity graph may have
   /// changed (node added, liveness flipped, or a move that changed at
@@ -174,10 +147,10 @@ class Network : public sim::SerializableCheckpointable {
   std::uint64_t topology_epoch() const { return topology_epoch_; }
 
   /// Live-node candidates within `radius` of `p`, ascending NodeId order.
-  /// This is a SUPERSET gathered from grid cells intersecting the disc
-  /// (the whole node table in brute-force mode): callers apply their own
-  /// exact distance filter, which keeps their selection — and any RNG draw
-  /// order downstream of it — identical in both modes.
+  /// This is a SUPERSET gathered from grid cells intersecting the disc:
+  /// callers apply their own exact distance filter, so their selection —
+  /// and any RNG draw order downstream of it — is that of an exhaustive
+  /// ascending scan.
   std::vector<NodeId> nodes_near(sim::Vec2 p, double radius) const;
 
   const ChannelModel& channel() const { return channel_; }
@@ -186,8 +159,7 @@ class Network : public sim::SerializableCheckpointable {
   void add_jammer(Jammer j) { channel_.add_jammer(j); }
   /// Raises an RF-opaque building. It can cut any existing link, so the
   /// edge store is marked stale (the next read reseeds it from a full
-  /// rebuild) and the topology epoch is bumped (in every maintenance mode,
-  /// keeping epochs mode-identical).
+  /// rebuild) and the topology epoch is bumped.
   void add_building(sim::Rect footprint);
   sim::Simulator& simulator() { return sim_; }
 
@@ -326,13 +298,6 @@ class Network : public sim::SerializableCheckpointable {
   bool link_allowed(NodeId a, NodeId b) const {
     return layers_[a] == layers_[b] || (gateway_[a] && gateway_[b]);
   }
-  /// True iff moving `id` from `from` to `to` changes the in-range
-  /// relationship with at least one other live node. Grid and brute-force
-  /// modes compute the identical answer (the grid only narrows which
-  /// candidates need the exact in_range check). Used by the full-rebuild
-  /// mode only; incremental mode learns the same answer as a byproduct of
-  /// patching the edge store.
-  bool neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) const;
 
   /// The grid indexing `id`'s layer.
   const SpatialGrid& grid_of(NodeId id) const { return layer_grids_[layers_[id]].grid; }
@@ -342,23 +307,22 @@ class Network : public sim::SerializableCheckpointable {
   /// layer's grid does not index. Appends nothing for a non-gateway.
   void append_gateway_peers(NodeId id, std::vector<NodeId>& out) const;
   /// Every possible link peer of `id` at `p`, ascending NodeId order (the
-  /// brute-force scan order): its layer grid's sorted 3x3 memo, merged
-  /// with append_gateway_peers. Assigned into `out`.
+  /// order of an exhaustive scan): its layer grid's sorted 3x3 memo,
+  /// merged with append_gateway_peers. Assigned into `out`.
   void sorted_candidates(NodeId id, sim::Vec2 p, std::vector<NodeId>& out) const;
   /// Rebuilds every layer grid and the gateway list from the node slabs.
   void rebuild_spatial_index();
 
-  /// Full-scan connectivity rebuild (grid neighborhoods or brute force per
-  /// use_grid_) — the baseline the incremental store must stay
-  /// bit-identical to, and the seed of the store.
+  /// Full connectivity rebuild from grid neighborhoods: the seed of the
+  /// edge store.
   Topology full_connectivity() const;
   /// Marks the edge store stale and releases it with its move bookkeeping
-  /// (used by restore, add_building and the maintenance-mode toggle). The
-  /// next reader reseeds it through ensure_links().
+  /// (used by restore and add_building). The next reader reseeds it
+  /// through ensure_links().
   void reseed_links();
   /// Seeds a stale edge store from one full rebuild and sizes its move
   /// bookkeeping — stamps and the dirty list — to the current node count.
-  /// A no-op while the store is live or incremental maintenance is off.
+  /// A no-op while the store is live.
   /// Every reader of links_ calls it first: patch_links_for_move,
   /// refresh_weights (hence connectivity, topology_view and cached_paths)
   /// and memory_footprint.
@@ -372,8 +336,7 @@ class Network : public sim::SerializableCheckpointable {
   /// skipped, so each candidate costs one range test. Weights of retained
   /// links are not touched here: the node joins the dirty list and
   /// refresh_weights() re-derives them on the next read. Returns whether
-  /// any edge appeared or vanished — the same answer neighbor_set_changed
-  /// gives, so epoch bumps are mode-identical.
+  /// any edge appeared or vanished: whether the move bumps the epoch.
   bool patch_links_for_move(NodeId id, sim::Vec2 to);
   /// Re-derives, on both adjacency sides, the weight of every edge of
   /// every node moved since the last refresh, and empties the dirty list.
@@ -443,28 +406,23 @@ class Network : public sim::SerializableCheckpointable {
   std::vector<NodeId> gateways_;
   /// Largest radio range over all layers; kept for the snapshot format.
   double max_range_m_ = 0.0;
-  bool use_grid_ = true;
   /// Candidate scratch buffer for grid queries (avoids an allocation per
   /// broadcast); mutable because const queries reuse it.
   mutable std::vector<NodeId> scratch_;
-  /// Edge scratch for full connectivity rebuilds — reused so rebuilds stop
-  /// allocating once warm; mutable for the same reason as scratch_.
-  mutable std::vector<Edge> edge_scratch_;
 
   /// Persistent connectivity edge store, patched in place by add_node /
-  /// set_position / set_node_up / set_gateway while use_incremental_ is on
-  /// and the store is live. Adjacency lists are kept sorted ascending by
-  /// neighbor id — the exact order a full rebuild produces — so copies,
-  /// Dijkstra tie-breaks, and digests are bit-identical to the rebuild
-  /// paths. Derived state: never saved. It is stale at birth and after
+  /// set_position / set_node_up / set_gateway while the store is live.
+  /// Adjacency lists are kept sorted ascending by neighbor id — the exact
+  /// order a full rebuild produces — so copies, Dijkstra tie-breaks, and
+  /// digests do not depend on the order edits arrived in. Derived state:
+  /// never saved. It is stale at birth and after
   /// every reseed_links(); while stale, mutators skip their edits and the
   /// first reader seeds it with one full rebuild (ensure_links), so a
   /// stack that is built and then restored — every served query — never
   /// pays for a store it throws away. Mutable because const readers seed
   /// it and refresh its weights lazily.
   mutable Topology links_;
-  /// True while links_ does not describe the network (see links_). Stays
-  /// true in rebuild mode, whose paths never read the store.
+  /// True while links_ does not describe the network (see links_).
   mutable bool links_stale_ = true;
   /// Per-node mark of the moving node's current peers (see
   /// patch_links_for_move); a slot is marked iff it equals link_stamp_.
@@ -474,9 +432,6 @@ class Network : public sim::SerializableCheckpointable {
   /// (weight_dirty_ is the per-node membership flag).
   mutable std::vector<NodeId> dirty_nodes_;
   mutable std::vector<std::uint8_t> weight_dirty_;
-  bool use_incremental_ = true;
-  /// Rebuild-mode scratch for topology_view(); mutable pure cache.
-  mutable Topology view_scratch_;
 
   // Shortest-path cache keyed by source, invalidated by epoch bumps.
   std::uint64_t topology_epoch_ = 0;

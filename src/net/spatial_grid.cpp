@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 
 namespace iobt::net {
 
@@ -69,21 +68,6 @@ void SpatialGrid::neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const {
   for (std::int32_t dy = -1; dy <= 1; ++dy) {
     for (std::int32_t dx = -1; dx <= 1; ++dx) {
       append_cell(cx + dx, cy + dy, out);
-    }
-  }
-}
-
-void SpatialGrid::neighborhood_union(sim::Vec2 a, sim::Vec2 b,
-                                     std::vector<NodeId>& out) const {
-  neighborhood(a, out);
-  const std::int64_t ax = coord(a.x), ay = coord(a.y);
-  const std::int32_t bx = coord(b.x), by = coord(b.y);
-  for (std::int32_t dy = -1; dy <= 1; ++dy) {
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      const std::int32_t cx = bx + dx, cy = by + dy;
-      // Cells of b's block that also lie in a's block were appended above.
-      if (std::abs(cx - ax) <= 1 && std::abs(cy - ay) <= 1) continue;
-      append_cell(cx, cy, out);
     }
   }
 }

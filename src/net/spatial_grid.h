@@ -49,11 +49,6 @@ class SpatialGrid {
   /// unsorted but duplicate-free (each id lives in exactly one cell).
   void neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const;
 
-  /// Appends every id in the union of the 3x3 neighborhoods of `a` and
-  /// `b`, visiting each cell once. Unsorted and duplicate-free, so a move
-  /// from `a` to `b` gathers its candidates without a sort + unique pass.
-  void neighborhood_union(sim::Vec2 a, sim::Vec2 b, std::vector<NodeId>& out) const;
-
   /// The 3x3 neighborhood of `p`, sorted ascending, served from a per-cell
   /// memo. Any mutation that changes cell membership (insert, remove, a
   /// move that crosses a cell boundary) invalidates the memo via a version

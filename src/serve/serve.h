@@ -23,10 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dissem/scenario.h"
@@ -195,6 +193,8 @@ class CampaignService {
     std::uint64_t last_use = 0;
   };
 
+  /// The memory-tier entry for `key`, or nullptr.
+  CacheEntry* cache_find(std::uint64_t key);
   /// Memory-tier lookup; refreshes recency on hit. nullptr on miss.
   std::shared_ptr<const sim::Snapshot> cache_get(std::uint64_t key);
   /// Inserts/refreshes an entry, then evicts while over capacity by
@@ -204,8 +204,9 @@ class CampaignService {
                  double rebuild_ms);
 
   Options opts_;
-  std::list<CacheEntry> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> index_;
+  /// The memory tier, in no particular order: recency is last_use, and
+  /// lookups and eviction both scan every entry (capacity is small).
+  std::vector<CacheEntry> cache_;
   CacheStats stats_;
   /// Durable tier; null when Options::snapshot_dir is empty.
   std::unique_ptr<SnapshotStore> store_;

@@ -15,6 +15,7 @@
 #include "net/reliable.h"
 #include "net/spatial_grid.h"
 #include "net/topology.h"
+#include "net_reference.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -27,6 +28,7 @@ using sim::Rng;
 using sim::Simulator;
 using sim::SimTime;
 using sim::Vec2;
+namespace ref = iobt::testing::net_reference;
 
 // ------------------------------------------------------------- Topology ----
 
@@ -398,33 +400,29 @@ void expect_identical_topologies(const Topology& got, const Topology& want,
   }
 }
 
-/// Drives `mutate(net)` over incremental / rebuild / brute substrates fed
-/// the identical op sequence and checks topology + epoch identity.
+/// set_position, with the epoch bump checked against the reference
+/// predictor.
+void move_checked(Network& net, NodeId id, Vec2 p) {
+  const bool predicted = ref::move_changes_links(net, id, p);
+  const std::uint64_t before = net.topology_epoch();
+  net.set_position(id, p);
+  EXPECT_EQ(net.topology_epoch() - before, predicted ? 1u : 0u) << "move of node " << id;
+}
+
+/// Drives `mutate(net, rng)` for 60 rounds and checks, after each, that
+/// the maintained edge store matches the brute-force reference through
+/// both read paths.
 template <typename Mutate>
 void run_maintenance_equivalence(Mutate mutate) {
-  Simulator sim_inc, sim_reb, sim_brute;
-  Network inc{sim_inc, ChannelModel(2.0, 0.0), Rng(7)};
-  Network reb{sim_reb, ChannelModel(2.0, 0.0), Rng(7)};
-  Network brute{sim_brute, ChannelModel(2.0, 0.0), Rng(7)};
-  reb.set_incremental_connectivity_enabled(false);
-  brute.set_incremental_connectivity_enabled(false);
-  brute.set_spatial_index_enabled(false);
+  Simulator sim;
+  Network net{sim, ChannelModel(2.0, 0.0), Rng(7)};
   Rng ops(0xC0FFEE);
-  const auto step = [&](Network& n) {
-    Rng r = ops;  // each substrate consumes an identical private copy
-    mutate(n, r);
-  };
   for (int round = 0; round < 60; ++round) {
-    step(inc);
-    step(reb);
-    step(brute);
-    ops = ops.child(round);
-    ASSERT_EQ(inc.topology_epoch(), reb.topology_epoch()) << "round " << round;
-    ASSERT_EQ(inc.topology_epoch(), brute.topology_epoch()) << "round " << round;
-    const Topology want = reb.connectivity();
-    expect_identical_topologies(inc.connectivity(), want, "inc vs rebuild");
-    expect_identical_topologies(inc.topology_view(), want, "view vs rebuild");
-    expect_identical_topologies(brute.connectivity(), want, "brute vs rebuild");
+    mutate(net, ops);
+    const Topology want = ref::connectivity(net);
+    expect_identical_topologies(net.connectivity(), want, "store vs reference");
+    expect_identical_topologies(net.topology_view(), want, "view vs reference");
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -438,7 +436,7 @@ TEST(NetworkIncremental, StoreMatchesRebuildUnderMoveChurn) {
       return;
     }
     const auto id = static_cast<NodeId>(r.uniform_int(0, static_cast<std::int64_t>(n.node_count()) - 1));
-    n.set_position(id, {r.uniform(0, 1000), r.uniform(0, 1000)});
+    move_checked(n, id, {r.uniform(0, 1000), r.uniform(0, 1000)});
   });
 }
 
@@ -458,30 +456,9 @@ TEST(NetworkIncremental, StoreMatchesRebuildUnderLivenessChurnAndGrowth) {
       const auto id = static_cast<NodeId>(r.uniform_int(0, static_cast<std::int64_t>(n.node_count()) - 1));
       // Down nodes reposition silently; the store must ignore them until
       // they come back up.
-      n.set_position(id, {r.uniform(0, 800), r.uniform(0, 800)});
+      move_checked(n, id, {r.uniform(0, 800), r.uniform(0, 800)});
     }
   });
-}
-
-TEST_F(NetFixture, IncrementalToggleMidRunSeedsAndReleasesStore) {
-  Rng r(5);
-  for (int i = 0; i < 20; ++i) add({r.uniform(0, 500), r.uniform(0, 500)});
-  net.set_incremental_connectivity_enabled(false);
-  EXPECT_FALSE(net.incremental_connectivity_enabled());
-  for (int i = 0; i < 10; ++i) {
-    net.set_position(static_cast<NodeId>(i), {r.uniform(0, 500), r.uniform(0, 500)});
-  }
-  const Topology baseline = net.connectivity();
-  // Enabling mid-run seeds the store with one full rebuild.
-  net.set_incremental_connectivity_enabled(true);
-  expect_identical_topologies(net.connectivity(), baseline, "after enable");
-  // And it tracks further churn.
-  net.set_node_up(3, false);
-  net.set_position(7, {r.uniform(0, 500), r.uniform(0, 500)});
-  net.set_incremental_connectivity_enabled(false);
-  const Topology want = net.connectivity();
-  net.set_incremental_connectivity_enabled(true);
-  expect_identical_topologies(net.connectivity(), want, "after churn");
 }
 
 TEST_F(NetFixture, MemoryFootprintTracksNodeCount) {
@@ -601,19 +578,22 @@ TEST(NetworkUrban, RoutingBendsAroundBuilding) {
 
 TEST(NetworkUrban, LateBuildingCutsLinksInEveryMaintenanceMode) {
   // A building raised after the nodes exist must cut the link it occludes
-  // in the incremental edge store exactly as a full rebuild does, and
+  // whether the edge store was live (seeded by a route read) or still
+  // stale when the wall went up, exactly as the reference does, and
   // invalidate cached routes.
-  const auto edges_after_wall = [](bool use_incremental) {
+  const auto edges_after_wall = [](bool read_first) {
     Simulator sim;
     Network net(sim, ChannelModel(2.0, 0.0), Rng(5));
-    net.set_incremental_connectivity_enabled(use_incremental);
     const NodeId a = net.add_node({0, 0}, {.range_m = 160, .base_loss = 0.0});
     const NodeId b = net.add_node({100, 0}, {.range_m = 160, .base_loss = 0.0});
-    EXPECT_TRUE(net.route_exists(a, b));
+    if (read_first) {
+      EXPECT_TRUE(net.route_exists(a, b));
+    }
     const std::uint64_t e0 = net.topology_epoch();
     net.add_building({{40, -10}, {60, 10}});
     EXPECT_GT(net.topology_epoch(), e0);
     EXPECT_FALSE(net.route_exists(a, b));
+    expect_identical_topologies(net.connectivity(), ref::connectivity(net), "after wall");
     return net.connectivity().edge_count();
   };
   EXPECT_EQ(edges_after_wall(false), 0u);
@@ -1138,39 +1118,26 @@ std::vector<NodeId> scatter(Network& net, Rng& layout, int n, double range) {
 TEST_F(NetFixture, ConnectivityIdenticalGridVsBrute) {
   Rng layout(41);
   scatter(net, layout, 150, 300.0);
-  ASSERT_TRUE(net.spatial_index_enabled());
-  const auto grid_edges = net.connectivity().edges();
-  net.set_spatial_index_enabled(false);
-  const auto brute_edges = net.connectivity().edges();
-  ASSERT_EQ(grid_edges.size(), brute_edges.size());
-  EXPECT_GT(grid_edges.size(), 0u);
-  for (std::size_t i = 0; i < grid_edges.size(); ++i) {
-    EXPECT_EQ(grid_edges[i].a, brute_edges[i].a);
-    EXPECT_EQ(grid_edges[i].b, brute_edges[i].b);
-    EXPECT_DOUBLE_EQ(grid_edges[i].weight, brute_edges[i].weight);
-  }
+  const Topology grid = net.connectivity();
+  EXPECT_GT(grid.edge_count(), 0u);
+  expect_identical_topologies(grid, ref::connectivity(net), "grid vs brute");
 }
 
 TEST_F(NetFixture, NodesNearExactFilterIdenticalGridVsBrute) {
   Rng layout(43);
   scatter(net, layout, 150, 300.0);
-  net.set_node_up(7, false);  // down nodes must be absent in both modes
-  const auto filtered = [&](double radius, Vec2 q) {
-    std::vector<NodeId> out;
-    for (const NodeId id : net.nodes_near(q, radius)) {
-      if (sim::distance(net.position(id), q) <= radius) out.push_back(id);
-    }
-    return out;
-  };
+  net.set_node_up(7, false);  // down nodes must be absent from both
   for (const Vec2 q : {Vec2{100, 100}, Vec2{1000, 1000}, Vec2{1999, 50}}) {
     for (const double r : {150.0, 400.0, 2500.0}) {
-      net.set_spatial_index_enabled(true);
-      const auto g = filtered(r, q);
-      net.set_spatial_index_enabled(false);
-      const auto b = filtered(r, q);
-      EXPECT_EQ(g, b) << "q=(" << q.x << "," << q.y << ") r=" << r;
-      // Ascending-id contract holds in both modes.
-      EXPECT_TRUE(std::is_sorted(g.begin(), g.end()));
+      const std::vector<NodeId> candidates = net.nodes_near(q, r);
+      // Ascending-id contract of the candidate superset.
+      EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
+      std::vector<NodeId> g;
+      for (const NodeId id : candidates) {
+        EXPECT_TRUE(net.node_up(id)) << id;
+        if (sim::distance(net.position(id), q) <= r) g.push_back(id);
+      }
+      EXPECT_EQ(g, ref::nodes_near(net, q, r)) << "q=(" << q.x << "," << q.y << ") r=" << r;
     }
   }
 }
@@ -1224,14 +1191,7 @@ TEST_F(NetFixture, LongRangeJoinRebuildsGridAndKeepsCoverage) {
   EXPECT_EQ(got, 3);
 
   // The rebuilt index still agrees with brute force.
-  const auto grid_edges = net.connectivity().edges();
-  net.set_spatial_index_enabled(false);
-  const auto brute_edges = net.connectivity().edges();
-  ASSERT_EQ(grid_edges.size(), brute_edges.size());
-  for (std::size_t i = 0; i < grid_edges.size(); ++i) {
-    EXPECT_EQ(grid_edges[i].a, brute_edges[i].a);
-    EXPECT_EQ(grid_edges[i].b, brute_edges[i].b);
-  }
+  expect_identical_topologies(net.connectivity(), ref::connectivity(net), "after rebuild");
 }
 
 TEST(NetworkLayers, EachLayerGridCoversOnlyItsOwnRanges) {
@@ -1275,23 +1235,17 @@ TEST(NetworkLayers, EachLayerGridCoversOnlyItsOwnRanges) {
   EXPECT_TRUE(t.has_edge(g1, a0));   // 112 m, within the ground radio
   EXPECT_FALSE(t.has_edge(g0, a0));  // g0 is not a gateway
   EXPECT_EQ(net.broadcast(a0, Message{.kind = "hello", .size_bytes = 8}), 2u);
-  net.set_spatial_index_enabled(false);
-  const auto brute_edges = net.connectivity().edges();
-  ASSERT_EQ(t.edges().size(), brute_edges.size());
-  for (std::size_t i = 0; i < brute_edges.size(); ++i) {
-    EXPECT_EQ(t.edges()[i].a, brute_edges[i].a);
-    EXPECT_EQ(t.edges()[i].b, brute_edges[i].b);
-  }
+  expect_identical_topologies(t, ref::connectivity(net), "layered grid vs brute");
 }
 
 TEST_P(NetDeterminism, BroadcastDigestsIdenticalGridVsBrute) {
-  // Lossy mobile scenario driven end-to-end twice — spatial index on and
-  // off — from one seed. Every observable must match bit-for-bit: the RNG
+  // Lossy mobile scenario driven end-to-end twice from one seed — once
+  // broadcasting through the grid, once through the reference's
+  // exhaustive scan. Every observable must match bit-for-bit: the RNG
   // draw order, delivery counts, and the full metrics digest.
-  const auto run_once = [&](bool use_grid) {
+  const auto run_once = [&](bool brute) {
     Simulator sim;
     Network net(sim, ChannelModel(), Rng(GetParam()));
-    net.set_spatial_index_enabled(use_grid);
     Rng layout(GetParam() ^ 0x5EED);
     std::vector<NodeId> ids;
     for (int i = 0; i < 80; ++i) {
@@ -1304,12 +1258,19 @@ TEST_P(NetDeterminism, BroadcastDigestsIdenticalGridVsBrute) {
       for (auto id : ids) {
         net.set_position(id, {layout.uniform(0, 1200), layout.uniform(0, 1200)});
       }
-      for (auto id : ids) net.broadcast(id, Message{.kind = "hello", .size_bytes = 24});
+      for (auto id : ids) {
+        const Message hello{.kind = "hello", .size_bytes = 24};
+        if (brute) {
+          ref::broadcast(net, id, hello);
+        } else {
+          net.broadcast(id, hello);
+        }
+      }
       sim.run();
     }
     return std::pair<std::uint64_t, std::uint64_t>{got, net.metrics().digest()};
   };
-  EXPECT_EQ(run_once(true), run_once(false));
+  EXPECT_EQ(run_once(false), run_once(true));
 }
 
 // ------------------------------------------------------- Layered network ----
@@ -1410,7 +1371,7 @@ TEST(NetworkLayers, DownGatewayRevivalReformsInterLayerLinks) {
   EXPECT_TRUE(net.connectivity().has_edge(g, a));
 }
 
-/// Seeded multi-layer churn for the all-modes equivalence tests below.
+/// Seeded multi-layer churn for the production-vs-reference tests below.
 struct LayeredChurn {
   double range_m[kLayerCount];  ///< radio range per layer
   double extent_m;              ///< nodes live in [0, extent_m]^2
@@ -1421,17 +1382,26 @@ struct LayeredChurn {
   bool small_steps_and_broadcasts;
 };
 
-/// Replays `cfg` in one {grid,brute} x {incremental,rebuild} mode and
-/// returns, per round, a hash of the connectivity snapshot (endpoints AND
-/// weight bits, so a missed weight refresh diverges), its edge count and
-/// the topology epoch — plus, with broadcasts on, a hash of who received
-/// which frame in delivery order.
-std::vector<std::uint64_t> layered_churn_trail(const LayeredChurn& cfg, bool use_grid,
-                                               bool use_incremental) {
+/// Replays `cfg` and returns, per round, a hash of the connectivity
+/// snapshot (endpoints AND weight bits, so a missed weight refresh
+/// diverges), its edge count and the topology epoch — plus, with
+/// broadcasts on, a hash of who received which frame in delivery order.
+/// With `brute` set every one of those comes from the reference instead:
+/// snapshots from ref::connectivity, broadcasts from ref::broadcast, and
+/// the epoch counted from the reference predictors (one bump per join and
+/// liveness flip, predicted bumps for gateway flips and moves).
+std::vector<std::uint64_t> layered_churn_trail(const LayeredChurn& cfg, bool brute) {
   Simulator sim;
   Network net(sim, ChannelModel(), Rng(6));
-  net.set_spatial_index_enabled(use_grid);
-  net.set_incremental_connectivity_enabled(use_incremental);
+  std::uint64_t predicted_epoch = 0;
+  const auto flip_gateway = [&](NodeId id) {
+    if (ref::gateway_flip_changes_links(net, id)) ++predicted_epoch;
+    net.set_gateway(id, !net.is_gateway(id));
+  };
+  const auto move = [&](NodeId id, Vec2 p) {
+    if (ref::move_changes_links(net, id, p)) ++predicted_epoch;
+    net.set_position(id, p);
+  };
   Rng drive(0xC0FFEE);
   const auto fold = [](std::uint64_t& h, std::uint64_t v) {
     h ^= v;
@@ -1443,7 +1413,8 @@ std::vector<std::uint64_t> layered_churn_trail(const LayeredChurn& cfg, bool use
     const auto layer = static_cast<LayerId>(i % 3);
     ids.push_back(net.add_node({drive.uniform(0, cfg.extent_m), drive.uniform(0, cfg.extent_m)},
                                {.range_m = cfg.range_m[layer]}, layer));
-    if (i % 4 == 0) net.set_gateway(ids.back(), true);
+    ++predicted_epoch;
+    if (i % 4 == 0) flip_gateway(ids.back());
     const NodeId id = ids.back();
     net.set_handler(id, [&received, &fold, id](const Message& m) {
       fold(received, (static_cast<std::uint64_t>(m.src) << 32) | id);
@@ -1455,21 +1426,22 @@ std::vector<std::uint64_t> layered_churn_trail(const LayeredChurn& cfg, bool use
     for (const NodeId id : ids) {
       const double action = drive.uniform();
       if (action < 0.25) {
-        net.set_gateway(id, !net.is_gateway(id));
+        flip_gateway(id);
       } else if (action < 0.4) {
         net.set_node_up(id, !net.node_up(id));
+        ++predicted_epoch;
       } else if (cfg.small_steps_and_broadcasts && action < 0.85) {
         // Within-cell nudges (a few meters) and cell-crossing strides (up
         // to the ground radio) — the mobility tick's moves.
         const double reach = action < 0.6 ? 5.0 : 200.0;
         const Vec2 p = net.position(id);
-        net.set_position(id, {clamp(p.x + drive.uniform(-reach, reach)),
-                              clamp(p.y + drive.uniform(-reach, reach))});
+        move(id, {clamp(p.x + drive.uniform(-reach, reach)),
+                  clamp(p.y + drive.uniform(-reach, reach))});
       } else {
-        net.set_position(id, {drive.uniform(0, cfg.extent_m), drive.uniform(0, cfg.extent_m)});
+        move(id, {drive.uniform(0, cfg.extent_m), drive.uniform(0, cfg.extent_m)});
       }
     }
-    const Topology t = net.connectivity();
+    const Topology t = brute ? ref::connectivity(net) : net.connectivity();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (const Edge& e : t.edges()) {
       fold(h, (static_cast<std::uint64_t>(e.a) << 32) | e.b);
@@ -1477,13 +1449,14 @@ std::vector<std::uint64_t> layered_churn_trail(const LayeredChurn& cfg, bool use
     }
     trail.push_back(h);
     trail.push_back(t.edge_count());
-    trail.push_back(net.topology_epoch());
+    trail.push_back(brute ? predicted_epoch : net.topology_epoch());
     if (cfg.small_steps_and_broadcasts) {
       // Gateways and plain nodes alike: a gateway's fan-out merges its
       // layer grid with cross-layer peers and must keep ascending order,
       // or the per-receiver loss draws shift.
       for (std::size_t i = static_cast<std::size_t>(round) % 5; i < ids.size(); i += 5) {
-        trail.push_back(net.broadcast(ids[i], Message{.kind = "hello", .size_bytes = 32}));
+        const Message hello{.kind = "hello", .size_bytes = 32};
+        trail.push_back(brute ? ref::broadcast(net, ids[i], hello) : net.broadcast(ids[i], hello));
       }
       sim.run();
       trail.push_back(received);
@@ -1493,15 +1466,12 @@ std::vector<std::uint64_t> layered_churn_trail(const LayeredChurn& cfg, bool use
 }
 
 void expect_layered_churn_identical(const LayeredChurn& cfg) {
-  const auto reference = layered_churn_trail(cfg, false, false);
-  EXPECT_EQ(layered_churn_trail(cfg, false, true), reference);
-  EXPECT_EQ(layered_churn_trail(cfg, true, false), reference);
-  EXPECT_EQ(layered_churn_trail(cfg, true, true), reference);
+  EXPECT_EQ(layered_churn_trail(cfg, /*brute=*/false), layered_churn_trail(cfg, /*brute=*/true));
 }
 
 TEST(NetworkLayers, GatewayChurnIsIdenticalAcrossAllMaintenanceModes) {
   // Random multi-layer churn (teleports, liveness flips, gateway flips)
-  // replayed in all four {grid,brute} x {incremental,rebuild} modes: the
+  // replayed through production and through the reference: the
   // connectivity snapshots and epoch trajectories must be bit-identical.
   expect_layered_churn_identical({.range_m = {220, 220, 220},
                                   .extent_m = 700,
@@ -1524,52 +1494,42 @@ TEST(NetworkLayers, HeterogeneousLayerChurnIsIdenticalAcrossAllMaintenanceModes)
 // A move leaves the weights of the mover's retained links stale until the
 // edge store is next read. Each test below drives moves that keep every
 // link (so the epoch holds and no route is invalidated), then bit-compares
-// one read path against a rebuild-mode twin fed the identical ops.
+// one read path against the brute-force reference, which derives every
+// weight afresh from the current positions and never reads the store.
 
-/// An incremental network and its rebuild-mode twin over a 6x6 lattice
-/// (100 m pitch, 160 m radios: orthogonal and diagonal neighbors link at
-/// 100 m and 141 m, the next ring at >= 200 m does not).
+/// A network over a 6x6 lattice (100 m pitch, 160 m radios: orthogonal
+/// and diagonal neighbors link at 100 m and 141 m, the next ring at
+/// >= 200 m does not) and its reference twin.
 struct WeightTwins : ::testing::Test {
   static constexpr int kSide = 6;
-  Simulator sim_inc, sim_reb;
-  Network inc{sim_inc, ChannelModel(2.0, 0.0), Rng(3)};
-  Network reb{sim_reb, ChannelModel(2.0, 0.0), Rng(3)};
+  Simulator sim;
+  Network net{sim, ChannelModel(2.0, 0.0), Rng(3)};
   std::vector<Vec2> home;
   Rng jitter{17};
 
   WeightTwins() {
-    reb.set_incremental_connectivity_enabled(false);
     for (int y = 0; y < kSide; ++y) {
       for (int x = 0; x < kSide; ++x) {
         home.push_back({100.0 * x, 100.0 * y});
-        both([&](Network& n) {
-          n.add_node(home.back(), {.range_m = 160, .base_loss = 0.0});
-        });
+        net.add_node(home.back(), {.range_m = 160, .base_loss = 0.0});
       }
     }
-  }
-  template <typename F>
-  void both(F f) {
-    f(inc);
-    f(reb);
   }
   static NodeId at(int x, int y) { return static_cast<NodeId>(y * kSide + x); }
   /// Moves about half the lattice up to 5 m off its lattice points. Every
   /// pairwise distance stays within 15 m of its lattice value, so no link
   /// appears or vanishes: the epoch must hold.
   void nudge() {
-    const std::uint64_t epoch = inc.topology_epoch();
+    const std::uint64_t epoch = net.topology_epoch();
     for (NodeId id = 0; id < home.size(); ++id) {
       if (jitter.uniform() < 0.5) continue;
-      const Vec2 p{home[id].x + jitter.uniform(-5, 5),
-                   home[id].y + jitter.uniform(-5, 5)};
-      both([&](Network& n) { n.set_position(id, p); });
+      net.set_position(id, {home[id].x + jitter.uniform(-5, 5),
+                            home[id].y + jitter.uniform(-5, 5)});
     }
-    EXPECT_EQ(inc.topology_epoch(), epoch) << "a nudge changed a link";
-    EXPECT_EQ(inc.topology_epoch(), reb.topology_epoch());
+    EXPECT_EQ(net.topology_epoch(), epoch) << "a nudge changed a link";
   }
   void expect_connectivity_matches(const char* what) {
-    expect_identical_topologies(inc.connectivity(), reb.connectivity(), what);
+    expect_identical_topologies(net.connectivity(), ref::connectivity(net), what);
   }
 };
 
@@ -1583,42 +1543,38 @@ TEST_F(WeightTwins, ConnectivityRefreshesMovedWeights) {
 TEST_F(WeightTwins, TopologyViewRefreshesMovedWeights) {
   for (int round = 0; round < 8; ++round) {
     nudge();
-    const Topology want = reb.connectivity();
-    expect_identical_topologies(inc.topology_view(), want, "view after nudge");
+    const Topology want = ref::connectivity(net);
+    expect_identical_topologies(net.topology_view(), want, "view after nudge");
   }
 }
 
 TEST_F(WeightTwins, RouteRebuildAfterEpochBumpUsesFreshWeights) {
   // (0,0) -> (5,2) needs 2 diagonal and 3 straight hops in any of 10
   // orders: equally long on the lattice, so the jitter alone picks the
-  // route. Routes are the only reads here: a refresh missing from the
-  // route rebuild shows up as a different hop sequence.
-  std::vector<NodeId> inc_hops, reb_hops;
-  inc.set_transmit_hook([&](NodeId n, std::size_t) { inc_hops.push_back(n); });
-  reb.set_transmit_hook([&](NodeId n, std::size_t) { reb_hops.push_back(n); });
+  // route. Routes are the only reads of the store here: a refresh missing
+  // from the route rebuild shows up as a hop sequence that differs from
+  // Dijkstra over the reference snapshot.
+  std::vector<NodeId> hops;
+  net.set_transmit_hook([&](NodeId n, std::size_t) { hops.push_back(n); });
   const NodeId src = at(0, 0), dst = at(kSide - 1, 2), spare = at(kSide - 1, kSide - 1);
-  ASSERT_TRUE(inc.route_exists(src, dst));
-  ASSERT_TRUE(reb.route_exists(src, dst));
+  ASSERT_TRUE(net.route_exists(src, dst));
   std::set<std::vector<NodeId>> routes;
   for (int round = 0; round < 12; ++round) {
     nudge();
     // A down-and-up flip of a corner node off every candidate route bumps
     // the epoch and leaves the link set as it was.
-    both([&](Network& n) {
-      n.set_node_up(spare, false);
-      n.set_node_up(spare, true);
-    });
-    inc_hops.clear();
-    reb_hops.clear();
-    EXPECT_TRUE(inc.route_exists(src, dst));
-    EXPECT_TRUE(reb.route_exists(src, dst));
-    both([&](Network& n) {
-      EXPECT_TRUE(n.route_and_send(src, dst, Message{.size_bytes = 8}));
-    });
-    sim_inc.run();
-    sim_reb.run();
-    EXPECT_EQ(inc_hops, reb_hops) << "round " << round;
-    routes.insert(reb_hops);
+    net.set_node_up(spare, false);
+    net.set_node_up(spare, true);
+    hops.clear();
+    EXPECT_TRUE(net.route_exists(src, dst));
+    EXPECT_TRUE(net.route_and_send(src, dst, Message{.size_bytes = 8}));
+    sim.run();
+    // Every hop's sender: the reference path minus its destination.
+    std::vector<NodeId> want = ref::connectivity(net).shortest_paths(src).path_to(dst);
+    ASSERT_FALSE(want.empty());
+    want.pop_back();
+    EXPECT_EQ(hops, want) << "round " << round;
+    routes.insert(want);
   }
   // The scenario must really exercise tie-breaks: the jitter picks more
   // than one route over the rounds.
@@ -1628,24 +1584,20 @@ TEST_F(WeightTwins, RouteRebuildAfterEpochBumpUsesFreshWeights) {
 
 TEST_F(WeightTwins, SaveRestoreWhileDirtyKeepsWeightsExact) {
   nudge();
-  const sim::Snapshot snap_inc = sim_inc.checkpoint().save();
-  const sim::Snapshot snap_reb = sim_reb.checkpoint().save();
+  const sim::Snapshot snap = sim.checkpoint().save();
   // Grow past the saved node count and dirty the newcomers: the restore
   // shrinks the network, so their ids must leave the dirty list with it.
   // 100 m radios at cell centers: each links to its 4 lattice corners
   // (71 m) and to nothing else (the next ring is 158 m away).
   for (int i = 0; i < 4; ++i) {
-    both([&](Network& n) {
-      n.add_node({50.0 + 200.0 * i, 50.0}, {.range_m = 100, .base_loss = 0.0});
-    });
+    net.add_node({50.0 + 200.0 * i, 50.0}, {.range_m = 100, .base_loss = 0.0});
   }
-  for (NodeId id = static_cast<NodeId>(home.size()); id < inc.node_count(); ++id) {
-    both([&](Network& n) { n.set_position(id, {n.position(id).x + 3.0, 53.0}); });
+  for (NodeId id = static_cast<NodeId>(home.size()); id < net.node_count(); ++id) {
+    net.set_position(id, {net.position(id).x + 3.0, 53.0});
   }
   nudge();
-  sim_inc.checkpoint().restore(snap_inc);
-  sim_reb.checkpoint().restore(snap_reb);
-  ASSERT_EQ(inc.node_count(), home.size());
+  sim.checkpoint().restore(snap);
+  ASSERT_EQ(net.node_count(), home.size());
   expect_connectivity_matches("right after restore");
   nudge();
   expect_connectivity_matches("nudged after restore");
@@ -1655,22 +1607,16 @@ TEST_F(WeightTwins, DirtyNodeTakenDownAndBroughtBackUp) {
   const NodeId k = at(2, 3);
   nudge();
   const Vec2 moved{home[k].x + 4.0, home[k].y - 4.0};
-  both([&](Network& n) {
-    n.set_position(k, moved);
-    n.set_node_up(k, false);
-  });
+  net.set_position(k, moved);
+  net.set_node_up(k, false);
   expect_connectivity_matches("dirty node down");
-  both([&](Network& n) {
-    n.set_position(k, home[k]);  // silent reposition while down
-    n.set_node_up(k, true);
-  });
+  net.set_position(k, home[k]);  // silent reposition while down
+  net.set_node_up(k, true);
   expect_connectivity_matches("back up");
   // Down and straight back up while still dirty, then moved again.
-  both([&](Network& n) {
-    n.set_position(k, moved);
-    n.set_node_up(k, false);
-    n.set_node_up(k, true);
-  });
+  net.set_position(k, moved);
+  net.set_node_up(k, false);
+  net.set_node_up(k, true);
   nudge();
   expect_connectivity_matches("down-up while dirty, then nudged");
 }
@@ -1680,9 +1626,7 @@ TEST_F(WeightTwins, AddNodeAfterMovesKeepsWeightsExact) {
   // The newcomer (100 m radio, cell center) links to its 4 lattice
   // corners, some of them dirty; their older links must still be
   // refreshed on the next read.
-  both([&](Network& n) {
-    n.add_node({250.0, 250.0}, {.range_m = 100, .base_loss = 0.0});
-  });
+  net.add_node({250.0, 250.0}, {.range_m = 100, .base_loss = 0.0});
   expect_connectivity_matches("after add_node");
   nudge();
   expect_connectivity_matches("nudged after add_node");
@@ -1690,80 +1634,94 @@ TEST_F(WeightTwins, AddNodeAfterMovesKeepsWeightsExact) {
 
 TEST_F(WeightTwins, AddBuildingWhileDirtyKeepsWeightsExact) {
   nudge();
-  const std::size_t edges = reb.connectivity().edge_count();
+  const std::size_t edges = ref::connectivity(net).edge_count();
   // A thin wall between columns 2 and 3 cuts the diagonals that cross it;
   // every sight line stays >= 15 m clear of its edges under any nudge.
-  both([&](Network& n) { n.add_building({{245, 120}, {255, 380}}); });
+  net.add_building({{245, 120}, {255, 380}});
   expect_connectivity_matches("after add_building");
-  EXPECT_LT(reb.connectivity().edge_count(), edges);
+  EXPECT_LT(ref::connectivity(net).edge_count(), edges);
   nudge();
   expect_connectivity_matches("nudged after add_building");
 }
 
 // ----------------------------------------------- Link store lifecycle ----
-// The incremental edge store is stale at birth and after every reseed;
-// mutators skip their store edits while it is stale, and the first reader
-// seeds it with one full rebuild. Each test below drives an unread layered
-// network and its rebuild-mode twin through identical ops and then
-// bit-compares the first read: edges, weight bits and the epoch.
+// The edge store is stale at birth and after every reseed; mutators skip
+// their store edits while it is stale, and the first reader seeds it with
+// one full rebuild. Each test below drives an unread layered network
+// through some ops and then bit-compares the first read against the
+// reference: edges, weight bits, and the epoch the reference predicts.
 
 /// A three-layer network (the dissem radios: ground 190 m, aerial 420 m,
-/// command 520 m) over 800 m, every fourth node a gateway, and its
-/// rebuild-mode twin. The constructor reads neither.
+/// command 520 m) over 800 m, every fourth node a gateway. Every mutation
+/// goes through a helper that advances `expected_epoch` by the
+/// reference's prediction; the constructor never reads the store.
 struct LinkStoreTwins : ::testing::Test {
-  Simulator sim_inc, sim_reb;
-  Network inc{sim_inc, ChannelModel(2.0, 0.0), Rng(11)};
-  Network reb{sim_reb, ChannelModel(2.0, 0.0), Rng(11)};
+  Simulator sim;
+  Network net{sim, ChannelModel(2.0, 0.0), Rng(11)};
   Rng drive{0x5EED};
+  std::uint64_t expected_epoch = 0;
 
   LinkStoreTwins() {
-    reb.set_incremental_connectivity_enabled(false);
     static constexpr double kRange[] = {190, 420, 520};
     for (int i = 0; i < 48; ++i) {
       const auto layer = static_cast<LayerId>(i % 3);
-      const Vec2 p{drive.uniform(0, 800), drive.uniform(0, 800)};
-      const bool gateway = i % 4 == 0;
-      both([&](Network& n) {
-        const NodeId id = n.add_node(p, {.range_m = kRange[layer], .base_loss = 0.0}, layer);
-        if (gateway) n.set_gateway(id, true);
-      });
+      const NodeId id = add({drive.uniform(0, 800), drive.uniform(0, 800)}, kRange[layer], layer);
+      if (i % 4 == 0) flip_gateway(id);
     }
   }
-  template <typename F>
-  void both(F f) {
-    f(inc);
-    f(reb);
+  NodeId add(Vec2 p, double range, LayerId layer) {
+    ++expected_epoch;
+    return net.add_node(p, {.range_m = range, .base_loss = 0.0}, layer);
+  }
+  void flip_up(NodeId id) {
+    ++expected_epoch;
+    net.set_node_up(id, !net.node_up(id));
+  }
+  void flip_gateway(NodeId id) {
+    if (ref::gateway_flip_changes_links(net, id)) ++expected_epoch;
+    net.set_gateway(id, !net.is_gateway(id));
+  }
+  void move(NodeId id, Vec2 p) {
+    if (ref::move_changes_links(net, id, p)) ++expected_epoch;
+    net.set_position(id, p);
+  }
+  void build(sim::Rect footprint) {
+    ++expected_epoch;
+    net.add_building(footprint);
   }
   NodeId pick() {
     return static_cast<NodeId>(
-        drive.uniform_int(0, static_cast<std::int64_t>(inc.node_count()) - 1));
+        drive.uniform_int(0, static_cast<std::int64_t>(net.node_count()) - 1));
   }
   void expect_epochs_match(const char* what) {
-    EXPECT_EQ(inc.topology_epoch(), reb.topology_epoch()) << what;
+    EXPECT_EQ(net.topology_epoch(), expected_epoch) << what;
   }
   void expect_first_read_matches(const char* what) {
     expect_epochs_match(what);
-    expect_identical_topologies(inc.connectivity(), reb.connectivity(), what);
+    expect_identical_topologies(net.connectivity(), ref::connectivity(net), what);
   }
 };
 
 TEST_F(LinkStoreTwins, FirstConnectivityReadMatchesRebuild) {
   expect_first_read_matches("first connectivity()");
-  EXPECT_GT(reb.connectivity().edge_count(), 0u);
+  EXPECT_GT(ref::connectivity(net).edge_count(), 0u);
 }
 
 TEST_F(LinkStoreTwins, FirstTopologyViewReadMatchesRebuild) {
   expect_epochs_match("before the view");
-  const Topology want = reb.connectivity();
-  expect_identical_topologies(inc.topology_view(), want, "first topology_view()");
+  const Topology want = ref::connectivity(net);
+  expect_identical_topologies(net.topology_view(), want, "first topology_view()");
 }
 
 TEST_F(LinkStoreTwins, FirstRouteReadMatchesRebuild) {
   // Routes read the store through cached_paths: reachability from a few
   // sources over every destination must agree before anything else reads.
+  const Topology want = ref::connectivity(net);
   for (NodeId src = 0; src < 6; ++src) {
-    for (NodeId dst = 0; dst < inc.node_count(); ++dst) {
-      EXPECT_EQ(inc.route_exists(src, dst), reb.route_exists(src, dst))
+    const ShortestPaths paths = want.shortest_paths(src);
+    for (NodeId dst = 0; dst < net.node_count(); ++dst) {
+      EXPECT_EQ(net.route_exists(src, dst),
+                net.node_up(src) && net.node_up(dst) && paths.reachable(dst))
           << src << " -> " << dst;
     }
   }
@@ -1774,46 +1732,44 @@ TEST_F(LinkStoreTwins, LivenessAndGatewayFlipsWhileStaleMatchRebuild) {
   for (int k = 0; k < 40; ++k) {
     const NodeId id = pick();
     if (k % 2 == 0) {
-      both([&](Network& n) { n.set_node_up(id, !n.node_up(id)); });
+      flip_up(id);
     } else {
       // set_gateway still decides the epoch from its gateway scan while
       // the store takes no edits.
-      both([&](Network& n) { n.set_gateway(id, !n.is_gateway(id)); });
+      flip_gateway(id);
     }
     expect_epochs_match("flip while stale");
   }
-  const Vec2 late{drive.uniform(0, 800), drive.uniform(0, 800)};
-  both([&](Network& n) { n.add_node(late, {.range_m = 420, .base_loss = 0.0}, 1); });
+  add({drive.uniform(0, 800), drive.uniform(0, 800)}, 420, 1);
   expect_first_read_matches("after flips while stale");
 }
 
 TEST_F(LinkStoreTwins, BuildingWhileStaleMatchesRebuild) {
-  both([&](Network& n) { n.add_building({{380, 100}, {420, 700}}); });
-  both([&](Network& n) { n.set_gateway(1, true); });
+  build({{380, 100}, {420, 700}});
+  flip_gateway(1);  // node 1 is not a gateway yet
   expect_first_read_matches("after add_building while stale");
   // A building after the first read marks the store stale again.
-  both([&](Network& n) { n.add_building({{100, 380}, {700, 420}}); });
-  both([&](Network& n) { n.set_node_up(5, false); });
+  build({{100, 380}, {700, 420}});
+  flip_up(5);
   expect_first_read_matches("after a second building");
 }
 
 TEST_F(LinkStoreTwins, MovesWhileStaleSeedTheStoreAndMatchRebuild) {
   // The move patch reads the store, so the first move seeds it; the epoch
-  // of every move must agree, which it cannot if the patch ran over a
-  // store that was never seeded.
-  const std::uint64_t epoch0 = inc.topology_epoch();
+  // of every move must match the prediction, which it cannot if the patch
+  // ran over a store that was never seeded.
+  const std::uint64_t epoch0 = net.topology_epoch();
   for (int k = 0; k < 30; ++k) {
     const NodeId id = pick();
-    const Vec2 p{drive.uniform(0, 800), drive.uniform(0, 800)};
-    both([&](Network& n) { n.set_position(id, p); });
+    move(id, {drive.uniform(0, 800), drive.uniform(0, 800)});
     expect_epochs_match("move");
   }
-  EXPECT_GT(inc.topology_epoch(), epoch0);
+  EXPECT_GT(net.topology_epoch(), epoch0);
   expect_first_read_matches("after moves");
 }
 
 TEST_F(LinkStoreTwins, MemoryFootprintSeedsTheStore) {
-  EXPECT_GT(inc.memory_footprint().links, 0u);
+  EXPECT_GT(net.memory_footprint().links, 0u);
   expect_first_read_matches("after memory_footprint");
 }
 

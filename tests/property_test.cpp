@@ -12,6 +12,7 @@
 #include "intent/games.h"
 #include "learn/aggregation.h"
 #include "net/network.h"
+#include "net_reference.h"
 #include "sim/checkpoint.h"
 #include "sim/runner.h"
 #include "social/claims.h"
@@ -303,16 +304,19 @@ TEST(ParallelDeterminism, WorkerCountIsUnobservableAndRunsAreRepeatable) {
 //
 // The wireless substrate promises that the spatial grid changes wall time
 // only: for a fixed seed, a broadcast-heavy mobile scenario must produce
-// bit-identical metrics digests with the index on or off, under any worker
-// count, with per-replication payloads to match. This is the end-to-end
-// guarantee the bench (bench_network) enforces at scale.
+// bit-identical metrics digests whether its broadcasts and snapshots go
+// through the grid (production, under any worker count) or through the
+// brute-force reference (hand-rolled serial loop), with per-replication
+// payloads to match. This is the end-to-end guarantee the bench
+// (bench_network) enforces at scale.
+
+namespace ref = iobt::testing::net_reference;
 
 namespace spatial {
 
-double substrate_body(sim::ReplicationContext& ctx, bool use_grid) {
+double substrate_body(sim::ReplicationContext& ctx, bool brute) {
   sim::Simulator s;
   net::Network network(s, net::ChannelModel(), ctx.make_rng());
-  network.set_spatial_index_enabled(use_grid);
   sim::Rng layout(ctx.seed ^ 0xD15C0ULL);
   std::vector<net::NodeId> ids;
   for (int i = 0; i < 60; ++i) {
@@ -329,11 +333,17 @@ double substrate_body(sim::ReplicationContext& ctx, bool use_grid) {
       network.set_position(id, {layout.uniform(0, 1000), layout.uniform(0, 1000)});
     }
     for (const auto id : ids) {
-      network.broadcast(id, net::Message{.kind = "hello", .size_bytes = 16});
+      const net::Message hello{.kind = "hello", .size_bytes = 16};
+      if (brute) {
+        ref::broadcast(network, id, hello);
+      } else {
+        network.broadcast(id, hello);
+      }
       network.route_and_send(ids[0], id, net::Message{.kind = "data", .size_bytes = 64});
     }
     s.run();
-    edges += static_cast<double>(network.connectivity().edge_count());
+    const net::Topology topo = brute ? ref::connectivity(network) : network.connectivity();
+    edges += static_cast<double>(topo.edge_count());
   }
   ctx.metrics.merge_from(network.metrics());
   ctx.metrics.count("delivered", static_cast<double>(delivered));
@@ -343,38 +353,41 @@ double substrate_body(sim::ReplicationContext& ctx, bool use_grid) {
 
 }  // namespace spatial
 
-class SpatialIndexEquivalence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(SpatialIndexEquivalence, GridAndBruteDigestsIdenticalUnderWorkers) {
-  const std::size_t workers = GetParam();
-  const auto seeds = sim::ParallelRunner::seed_range(4242, 8);
-
-  // Reference: brute-force enumeration, hand-rolled serial loop.
+/// Runs `body(ctx, /*brute=*/true)` — the reference leg — over `seeds`
+/// in a hand-rolled serial loop, then `body(ctx, /*brute=*/false)` —
+/// production — on a `workers`-thread ParallelRunner, and expects the
+/// reference's merged digest and per-replication payloads, which it
+/// returns.
+template <typename Payload, typename Body>
+std::vector<Payload> expect_production_matches(const std::vector<std::uint64_t>& seeds,
+                                               std::size_t workers, Body body) {
   sim::MetricsRegistry ref_merged;
-  std::vector<double> ref_payloads;
+  std::vector<Payload> ref_payloads;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     sim::ReplicationContext ctx;
     ctx.seed = seeds[i];
     ctx.index = i;
-    ref_payloads.push_back(spatial::substrate_body(ctx, /*use_grid=*/false));
+    ref_payloads.push_back(body(ctx, /*brute=*/true));
     ref_merged.merge_from(ctx.metrics);
   }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    const sim::ParallelRunner runner(workers);
-    const auto outcome = runner.run<double>(seeds, [use_grid](sim::ReplicationContext& ctx) {
-      return spatial::substrate_body(ctx, use_grid);
-    });
-    EXPECT_EQ(outcome.failures, 0u);
-    ASSERT_EQ(outcome.replications.size(), seeds.size());
-    EXPECT_EQ(outcome.merged.digest(), ref_digest)
-        << "workers=" << workers << " grid=" << use_grid;
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
-          << "workers=" << workers << " grid=" << use_grid << " rep=" << i;
-    }
+  const sim::ParallelRunner runner(workers);
+  const auto outcome = runner.run<Payload>(
+      seeds, [&body](sim::ReplicationContext& ctx) { return body(ctx, /*brute=*/false); });
+  EXPECT_EQ(outcome.failures, 0u);
+  EXPECT_EQ(outcome.merged.digest(), ref_merged.digest()) << "workers=" << workers;
+  EXPECT_EQ(outcome.replications.size(), seeds.size());
+  for (std::size_t i = 0; i < seeds.size() && i < outcome.replications.size(); ++i) {
+    EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
+        << "workers=" << workers << " rep=" << i;
   }
+  return ref_payloads;
+}
+
+class SpatialIndexEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SpatialIndexEquivalence, GridAndBruteDigestsIdenticalUnderWorkers) {
+  expect_production_matches<double>(sim::ParallelRunner::seed_range(4242, 8), GetParam(),
+                                    spatial::substrate_body);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, SpatialIndexEquivalence,
@@ -386,24 +399,25 @@ INSTANTIATE_TEST_SUITE_P(Workers, SpatialIndexEquivalence,
 // The incremental edge store promises the same contract the grid does:
 // wall time only. A churn-heavy scenario — liveness flips and mobility
 // interleaved into a broadcast storm, multi-hop sends over the shifting
-// topology — must produce bit-identical digests, payloads, and epochs
-// across {grid, brute} x {incremental, full-rebuild}, under any worker
-// count, against a hand-rolled serial brute+rebuild reference.
+// topology — must produce bit-identical digests, payloads, and epochs in
+// production, under any worker count, and in a hand-rolled serial
+// reference leg that broadcasts, snapshots and counts epochs by brute
+// force and checks the store against the reference before every send.
 
 namespace churn {
 
-double substrate_body(sim::ReplicationContext& ctx, bool use_grid,
-                      bool use_incremental, bool layered = false) {
+double substrate_body(sim::ReplicationContext& ctx, bool brute, bool layered = false) {
   sim::Simulator s;
   net::Network network(s, net::ChannelModel(), ctx.make_rng());
-  network.set_spatial_index_enabled(use_grid);
-  network.set_incremental_connectivity_enabled(use_incremental);
   sim::Rng layout(ctx.seed ^ 0xC4012ULL);
   std::vector<net::NodeId> ids;
   for (int i = 0; i < 50; ++i) {
     ids.push_back(network.add_node({layout.uniform(0, 900), layout.uniform(0, 900)},
                                    {.range_m = 250, .base_loss = 0.1}));
   }
+  // The reference leg's epoch: one bump per join and liveness flip, plus
+  // the predicted bumps of moves and gateway flips.
+  std::uint64_t predicted_epoch = ids.size();
   std::uint64_t delivered = 0;
   for (const auto id : ids) {
     network.set_handler(id, [&](const net::Message&) { ++delivered; });
@@ -420,30 +434,47 @@ double substrate_body(sim::ReplicationContext& ctx, bool use_grid,
       const double roll = mutate.uniform(0.0, 1.0);
       if (roll < 0.25) {
         network.set_node_up(id, !network.node_up(id));
+        ++predicted_epoch;
       } else if (roll < 0.75) {
-        network.set_position(id, {mutate.uniform(0, 900), mutate.uniform(0, 900)});
+        const sim::Vec2 to{mutate.uniform(0, 900), mutate.uniform(0, 900)};
+        if (ref::move_changes_links(network, id, to)) ++predicted_epoch;
+        network.set_position(id, to);
       }
       if (layered && k % 7 == 0) {
         // Single-layer gateway churn: with no second layer to bridge, the
         // flips must change no link, bump no epoch, and draw no RNG —
         // i.e. be entirely unobservable next to the flat run.
+        if (ref::gateway_flip_changes_links(network, id)) ++predicted_epoch;
         network.set_gateway(id, !network.is_gateway(id));
       }
       if (k % 5 == 0) {
-        network.broadcast(id, net::Message{.kind = "hello", .size_bytes = 16});
+        const net::Message hello{.kind = "hello", .size_bytes = 16};
+        if (brute) {
+          ref::broadcast(network, id, hello);
+        } else {
+          network.broadcast(id, hello);
+        }
       }
       const net::NodeId dst = ids[(k * 7 + static_cast<std::size_t>(round)) % ids.size()];
+      // Routes run over the store in both legs; the reference leg first
+      // checks that the store is the reference snapshot, so its routes are
+      // Dijkstra over the reference.
+      if (brute) {
+        EXPECT_TRUE(ref::same_topology(network.topology_view(), ref::connectivity(network)))
+            << "seed " << ctx.seed << " round " << round << " node " << id;
+      }
       network.route_and_send(id, dst, net::Message{.kind = "data", .size_bytes = 48});
     }
     s.run();
-    edges += static_cast<double>(network.connectivity().edge_count());
+    const net::Topology topo = brute ? ref::connectivity(network) : network.connectivity();
+    edges += static_cast<double>(topo.edge_count());
   }
+  const std::uint64_t epoch = brute ? predicted_epoch : network.topology_epoch();
   ctx.metrics.merge_from(network.metrics());
   ctx.metrics.count("delivered", static_cast<double>(delivered));
   ctx.metrics.count("edges", edges);
-  ctx.metrics.count("epoch", static_cast<double>(network.topology_epoch()));
-  return static_cast<double>(delivered) + edges +
-         static_cast<double>(network.topology_epoch());
+  ctx.metrics.count("epoch", static_cast<double>(epoch));
+  return static_cast<double>(delivered) + edges + static_cast<double>(epoch);
 }
 
 }  // namespace churn
@@ -452,42 +483,9 @@ class ConnectivityMaintenanceEquivalence
     : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ConnectivityMaintenanceEquivalence, AllModesDigestsIdenticalUnderChurn) {
-  const std::size_t workers = GetParam();
-  const auto seeds = sim::ParallelRunner::seed_range(31337, 8);
-
-  // Reference: brute-force enumeration + full rebuilds, hand-rolled serial
-  // loop.
-  sim::MetricsRegistry ref_merged;
-  std::vector<double> ref_payloads;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    sim::ReplicationContext ctx;
-    ctx.seed = seeds[i];
-    ctx.index = i;
-    ref_payloads.push_back(
-        churn::substrate_body(ctx, /*use_grid=*/false, /*use_incremental=*/false));
-    ref_merged.merge_from(ctx.metrics);
-  }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    for (const bool use_incremental : {true, false}) {
-      const sim::ParallelRunner runner(workers);
-      const auto outcome = runner.run<double>(
-          seeds, [use_grid, use_incremental](sim::ReplicationContext& ctx) {
-            return churn::substrate_body(ctx, use_grid, use_incremental);
-          });
-      EXPECT_EQ(outcome.failures, 0u);
-      ASSERT_EQ(outcome.replications.size(), seeds.size());
-      EXPECT_EQ(outcome.merged.digest(), ref_digest)
-          << "workers=" << workers << " grid=" << use_grid
-          << " incremental=" << use_incremental;
-      for (std::size_t i = 0; i < seeds.size(); ++i) {
-        EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
-            << "workers=" << workers << " grid=" << use_grid
-            << " incremental=" << use_incremental << " rep=" << i;
-      }
-    }
-  }
+  expect_production_matches<double>(
+      sim::ParallelRunner::seed_range(31337, 8), GetParam(),
+      [](sim::ReplicationContext& ctx, bool brute) { return churn::substrate_body(ctx, brute); });
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, ConnectivityMaintenanceEquivalence,
@@ -499,50 +497,18 @@ INSTANTIATE_TEST_SUITE_P(Workers, ConnectivityMaintenanceEquivalence,
 // A one-layer layered network IS a flat network: the per-node layer slab,
 // the link_allowed gate, and gateway flips with nothing to bridge must all
 // be unobservable. The layered churn body (same substrate churn plus
-// gateway flips on every 7th node per round) is swept across {grid, brute}
-// x {incremental, rebuild} x workers {1, 2, 8} and compared digest- and
-// payload-identical to the flat serial brute+rebuild reference.
+// gateway flips on every 7th node per round) runs in production under
+// workers {1, 2, 8} and must be digest- and payload-identical to the FLAT
+// body's serial reference leg (no gateway calls at all).
 
 class LayeredEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LayeredEquivalence, OneLayerNetworkIsDigestIdenticalToFlat) {
-  const std::size_t workers = GetParam();
-  const auto seeds = sim::ParallelRunner::seed_range(42424, 8);
-
-  // Reference: the FLAT body (no gateway calls at all), serial, brute,
-  // full-rebuild.
-  sim::MetricsRegistry ref_merged;
-  std::vector<double> ref_payloads;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    sim::ReplicationContext ctx;
-    ctx.seed = seeds[i];
-    ctx.index = i;
-    ref_payloads.push_back(churn::substrate_body(
-        ctx, /*use_grid=*/false, /*use_incremental=*/false, /*layered=*/false));
-    ref_merged.merge_from(ctx.metrics);
-  }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    for (const bool use_incremental : {true, false}) {
-      const sim::ParallelRunner runner(workers);
-      const auto outcome = runner.run<double>(
-          seeds, [use_grid, use_incremental](sim::ReplicationContext& ctx) {
-            return churn::substrate_body(ctx, use_grid, use_incremental,
-                                         /*layered=*/true);
-          });
-      EXPECT_EQ(outcome.failures, 0u);
-      ASSERT_EQ(outcome.replications.size(), seeds.size());
-      EXPECT_EQ(outcome.merged.digest(), ref_digest)
-          << "workers=" << workers << " grid=" << use_grid
-          << " incremental=" << use_incremental;
-      for (std::size_t i = 0; i < seeds.size(); ++i) {
-        EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
-            << "workers=" << workers << " grid=" << use_grid
-            << " incremental=" << use_incremental << " rep=" << i;
-      }
-    }
-  }
+  expect_production_matches<double>(
+      sim::ParallelRunner::seed_range(42424, 8), GetParam(),
+      [](sim::ReplicationContext& ctx, bool brute) {
+        return churn::substrate_body(ctx, brute, /*layered=*/!brute);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, LayeredEquivalence,
@@ -557,41 +523,53 @@ INSTANTIATE_TEST_SUITE_P(Workers, LayeredEquivalence,
 // jamming-off edge are still pending), then restoring — into a FRESH stack
 // built by the same scenario code, or rewinding the SAME stack in place —
 // and running to the horizon must reproduce the uninterrupted run's digest
-// bit-for-bit. Swept over 8 seeds, worker counts {1, 2, 8}, and the spatial
-// index on/off, with the merged-metrics digest compared across all of them.
+// bit-for-bit. Swept over 8 seeds and worker counts {1, 2, 8}, with the
+// merged-metrics digest compared against a serial reference leg that also
+// checks each stack's grid-maintained topology against the brute-force
+// reference at the snapshot point and at the horizon.
 
 namespace ckpt {
 
 /// One replication: uninterrupted vs fresh-stack branch vs in-place rewind.
-/// Returns the number of digest mismatches (0 == the promise holds).
-std::uint64_t equivalence_body(sim::ReplicationContext& ctx, bool use_grid) {
+/// Returns the number of digest mismatches (0 == the promise holds); the
+/// reference leg (`brute`) also counts topologies that differ from the
+/// reference snapshot.
+std::uint64_t equivalence_body(sim::ReplicationContext& ctx, bool brute) {
   using iobt::testing::CheckpointScenario;
   const sim::SimTime snap_at = sim::SimTime::seconds(55);
   const sim::SimTime horizon = sim::SimTime::seconds(120);
+  std::uint64_t mismatches = 0;
+  const auto check_topology = [&](const net::Network& net) {
+    if (brute && !ref::same_topology(net.topology_view(), ref::connectivity(net))) ++mismatches;
+  };
 
   // save() is non-destructive, so the source stack doubles as the
   // uninterrupted reference.
-  CheckpointScenario source(ctx.seed, use_grid);
+  CheckpointScenario source(ctx.seed);
   source.sim.run_until(snap_at);
+  check_topology(source.net);
   const sim::Snapshot snap = source.sim.checkpoint().save();
   source.sim.run_until(horizon);
+  check_topology(source.net);
   const std::uint64_t uninterrupted = source.digest();
 
-  CheckpointScenario branch(ctx.seed, use_grid);
+  CheckpointScenario branch(ctx.seed);
   branch.sim.checkpoint().restore(snap);
+  check_topology(branch.net);
   branch.sim.run_until(horizon);
+  check_topology(branch.net);
   const std::uint64_t fresh_stack = branch.digest();
 
   source.sim.checkpoint().restore(snap);  // rewind 120 s -> 55 s
   source.sim.run_until(horizon);
+  check_topology(source.net);
   const std::uint64_t rewound = source.digest();
 
-  std::uint64_t mismatches = 0;
   if (fresh_stack != uninterrupted) ++mismatches;
   if (rewound != uninterrupted) ++mismatches;
-  // Fold the digest into the merged metrics so the cross-worker /
-  // cross-grid comparison below also proves the scenario itself is
-  // deterministic (not merely self-consistent per process).
+  // Fold the digest into the merged metrics so the cross-worker
+  // comparison below also proves the scenario itself is deterministic
+  // (not merely self-consistent per process).
   ctx.metrics.count("ckpt.digest_lo",
                     static_cast<double>(uninterrupted & 0xffffffffu));
   ctx.metrics.count("ckpt.digest_hi",
@@ -605,35 +583,13 @@ std::uint64_t equivalence_body(sim::ReplicationContext& ctx, bool use_grid) {
 class CheckpointEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CheckpointEquivalence, RestoreDigestsIdenticalUnderWorkersAndGrid) {
-  const std::size_t workers = GetParam();
   const auto seeds = sim::ParallelRunner::seed_range(777, 8);
-
-  // Reference: hand-rolled serial loop, spatial index off.
-  sim::MetricsRegistry ref_merged;
+  // Every reference replication must report zero mismatches; production
+  // payloads must match them.
+  const std::vector<std::uint64_t> ref_payloads =
+      expect_production_matches<std::uint64_t>(seeds, GetParam(), ckpt::equivalence_body);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    sim::ReplicationContext ctx;
-    ctx.seed = seeds[i];
-    ctx.index = i;
-    EXPECT_EQ(ckpt::equivalence_body(ctx, /*use_grid=*/false), 0u)
-        << "seed " << seeds[i];
-    ref_merged.merge_from(ctx.metrics);
-  }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    const sim::ParallelRunner runner(workers);
-    const auto outcome = runner.run<std::uint64_t>(
-        seeds, [use_grid](sim::ReplicationContext& ctx) {
-          return ckpt::equivalence_body(ctx, use_grid);
-        });
-    EXPECT_EQ(outcome.failures, 0u);
-    ASSERT_EQ(outcome.replications.size(), seeds.size());
-    EXPECT_EQ(outcome.merged.digest(), ref_digest)
-        << "workers=" << workers << " grid=" << use_grid;
-    for (const auto& r : outcome.replications) {
-      EXPECT_EQ(r.payload, 0u)
-          << "workers=" << workers << " grid=" << use_grid << " seed=" << r.seed;
-    }
+    EXPECT_EQ(ref_payloads[i], 0u) << "seed " << seeds[i];
   }
 }
 

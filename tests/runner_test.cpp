@@ -368,6 +368,13 @@ TEST(CampaignJournalTest, MalformedLinesAreSkippedOnLoad) {
   {
     // Simulate a crash-truncated write plus unrelated garbage.
     std::ofstream f(path, std::ios::app);
+    // Non-canonical numbers: the writer only emits plain decimal, so a
+    // sign, a leading blank or an overflowing seed is foreign content.
+    f << "rep\t-1\t4\t1.0\tneg\tm\n";
+    f << "rep\t+7\t5\t1.0\tplus\tm\n";
+    f << "rep\t +7\t6\t1.0\tblank\tm\n";
+    f << "rep\t99999999999999999999999\t7\t1.0\tbig\tm\n";
+    f << "rep\t8\t-1\t1.0\tneg-index\tm\n";
     f << "rep\t3\t2\t1.0\ttruncated-before-metr";  // no newline, short fields
   }
   CampaignJournal reloaded(path);
@@ -375,6 +382,10 @@ TEST(CampaignJournalTest, MalformedLinesAreSkippedOnLoad) {
   EXPECT_NE(reloaded.find(1, 0), nullptr);
   EXPECT_NE(reloaded.find(2, 1), nullptr);
   EXPECT_EQ(reloaded.find(3, 2), nullptr);
+  EXPECT_EQ(reloaded.find(~0ULL, 4), nullptr);
+  EXPECT_EQ(reloaded.find(7, 5), nullptr);
+  EXPECT_EQ(reloaded.find(7, 6), nullptr);
+  EXPECT_EQ(reloaded.find(~0ULL, 7), nullptr);
 }
 
 TEST(CampaignJournalTest, AppendAfterCrashTruncatedTailStartsFreshLine) {
